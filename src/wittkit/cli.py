@@ -30,8 +30,6 @@ TABULAR_COMMANDS = {"linking table", "zeta ledger"}
 def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
     sub.add_argument("--out", default="-", help="output file, - for stdout")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="worker count for partitioned work (currently 1)")
 
 
 def _pretty_witt(w: wmod.WittVector) -> str:
@@ -281,10 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("p", type=int)
     p.add_argument("n", type=int)
     p.add_argument("--list-limit", type=int, default=10**4)
-    p.add_argument("--format", choices=("plain", "json", "csv"), default="json")
-    p.add_argument("--out", default="-")
-    p.add_argument("--threads", type=int, default=1)
-    p.set_defaults(func=_run_orbits)
+    _common_flags(p)
+    p.set_defaults(func=_run_orbits, format="json")
 
     p_exp = sub.add_parser("explicit-formula", help="zero side vs prime side")
     exp_sub = p_exp.add_subparsers(dest="verb", required=True)

@@ -92,7 +92,6 @@ class _FieldTables:
         for code in range(q):
             digits[code] = field.decode(code)
         self.digits = digits
-        self.weights = np.array([p**i for i in range(n)], dtype=np.int64)
         self._pow_cache: dict[int, np.ndarray] = {}
 
     def pow_all(self, e: int) -> np.ndarray:
@@ -125,9 +124,6 @@ class _FieldTables:
         """acc_digits += digits(v) componentwise mod p, in place."""
         acc_digits += self.digits[v]
         acc_digits %= self.p
-
-    def encode_digits(self, acc_digits: np.ndarray) -> np.ndarray:
-        return acc_digits @ self.weights
 
 
 def count_points(X: AffineVariety, n: int, cap: int = DEFAULT_ENUM_CAP) -> int:

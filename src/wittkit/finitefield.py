@@ -46,16 +46,21 @@ def _is_irreducible(f: Polynomial, p: int) -> bool:
     return True
 
 
+def monic_polys(p: int, d: int) -> Iterator[Polynomial]:
+    """The p^d monic polynomials of degree d over F_p, in code order:
+    the k-th has the base-p digits of k as its low coefficients."""
+    Fp = GF(p)
+    for k in range(p**d):
+        coeffs = []
+        for _ in range(d):
+            coeffs.append(k % p)
+            k //= p
+        yield Polynomial(Fp, coeffs + [1])
+
+
 def smallest_irreducible(p: int, n: int) -> Polynomial:
     """Lexicographically smallest monic irreducible of degree n over F_p."""
-    Fp = GF(p)
-    for k in range(p**n):
-        coeffs = []
-        kk = k
-        for _ in range(n):
-            coeffs.append(kk % p)
-            kk //= p
-        f = Polynomial(Fp, coeffs + [1])
+    for f in monic_polys(p, n):
         if _is_irreducible(f, p):
             return f
     raise ValueError(f"no irreducible of degree {n} over F_{p}")  # unreachable
@@ -207,6 +212,3 @@ def finite_field_make(p: int, n: int, limit: int = DEFAULT_FIELD_LIMIT) -> Finit
         _cache[key] = FiniteField(p, n, limit=limit)
     return _cache[key]
 
-
-def finite_field_enumerate(p: int, n: int) -> Iterator[FFElem]:
-    return finite_field_make(p, n).enumerate()

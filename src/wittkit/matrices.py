@@ -1,164 +1,16 @@
-"""Square matrices over a ring descriptor, with a division-free
-characteristic polynomial (Berkowitz) and an exact dense linear solver.
+"""An exact dense linear solver over a field, used by Padé
+reconstruction.
 
-Sizes stay small here, so everything is the plain cubic/quartic
-algorithm with exact arithmetic.
+Systems stay small here, so it is plain Gauss-Jordan elimination with
+exact arithmetic. Matrix determinants, Kronecker products and companion
+matrices are test oracles only and live in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .poly import Polynomial
 from .rings import Ring
-
-
-class Matrix:
-    __slots__ = ("ring", "rows")
-
-    def __init__(self, ring: Ring, rows: Sequence[Sequence]):
-        rs = tuple(tuple(ring.coerce(x) for x in row) for row in rows)
-        for row in rs:
-            if len(row) != len(rs):
-                raise ValueError("matrix must be square")
-        self.ring = ring
-        self.rows = rs
-
-    @classmethod
-    def identity(cls, ring: Ring, n: int) -> "Matrix":
-        return cls(
-            ring, [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
-        )
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self.ring == other.ring and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.ring, self.rows))
-
-    def __repr__(self):
-        return f"Matrix({self.ring!r}, {[list(r) for r in self.rows]!r})"
-
-    def __mul__(self, other: "Matrix") -> "Matrix":
-        if self.ring != other.ring:
-            raise ValueError("ring mismatch")
-        if self.size != other.size:
-            raise ValueError("size mismatch")
-        R = self.ring
-        n = self.size
-        cols = list(zip(*other.rows))
-        out = []
-        for row in self.rows:
-            out_row = []
-            for col in cols:
-                acc = R.zero
-                for a, b in zip(row, col):
-                    acc = R.add(acc, R.mul(a, b))
-                out_row.append(acc)
-            out.append(out_row)
-        return Matrix(R, out)
-
-    def pow(self, k: int) -> "Matrix":
-        if k < 0:
-            raise ValueError("negative matrix power")
-        acc = Matrix.identity(self.ring, self.size)
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
-
-    def trace(self):
-        R = self.ring
-        acc = R.zero
-        for i in range(self.size):
-            acc = R.add(acc, self.rows[i][i])
-        return acc
-
-    def kron(self, other: "Matrix") -> "Matrix":
-        """Kronecker product; (n*m) x (n*m)."""
-        if self.ring != other.ring:
-            raise ValueError("ring mismatch")
-        R = self.ring
-        m = other.size
-        out = []
-        for i in range(self.size):
-            for k in range(m):
-                out.append(
-                    [
-                        R.mul(self.rows[i][j], other.rows[k][l])
-                        for j in range(self.size)
-                        for l in range(m)
-                    ]
-                )
-        return Matrix(R, out)
-
-
-def det_one_minus_t(M: Matrix) -> Polynomial:
-    """det(1 - tM) as a polynomial in t, by the Berkowitz algorithm.
-
-    Division-free, so it works over Z and over F_p for any p. The
-    Berkowitz vector of char(x) = det(xI - M), read with descending
-    powers of x, is exactly det(1 - tM) read with ascending powers of t.
-    """
-    R = M.ring
-    n = M.size
-    if n == 0:
-        return Polynomial.one(R)
-    rows = M.rows
-    # char vector of the trailing 1x1 principal submatrix
-    vec = [R.one, R.neg(rows[n - 1][n - 1])]
-    for i in range(n - 2, -1, -1):
-        m = n - i - 1  # current submatrix size
-        a = rows[i][i]
-        row = [rows[i][j] for j in range(i + 1, n)]
-        col = [rows[j][i] for j in range(i + 1, n)]
-        sub = [[rows[j][k] for k in range(i + 1, n)] for j in range(i + 1, n)]
-        # dot products row . sub^k . col for k = 0..m-1
-        dots = []
-        cur = col
-        for _ in range(m):
-            acc = R.zero
-            for rj, cj in zip(row, cur):
-                acc = R.add(acc, R.mul(rj, cj))
-            dots.append(acc)
-            nxt = []
-            for srow in sub:
-                s = R.zero
-                for sv, cv in zip(srow, cur):
-                    s = R.add(s, R.mul(sv, cv))
-                nxt.append(s)
-            cur = nxt
-        toep = [R.one, R.neg(a)] + [R.neg(d) for d in dots]
-        out = [R.zero] * (m + 2)
-        for j, v in enumerate(vec):
-            if R.is_zero(v):
-                continue
-            for k in range(m + 2 - j):
-                out[j + k] = R.add(out[j + k], R.mul(toep[k], v))
-        vec = out
-    return Polynomial(R, vec)
-
-
-def companion(monic: Polynomial) -> Matrix:
-    """Companion matrix of a monic polynomial (in the x variable)."""
-    R = monic.ring
-    n = monic.degree
-    if n < 0 or not R.eq(monic.leading(), R.one):
-        raise ValueError("companion matrix needs a monic polynomial")
-    rows = [
-        [R.one if j == i - 1 else R.zero for j in range(n - 1)] + [R.neg(monic[i])]
-        for i in range(n)
-    ]
-    return Matrix(R, rows)
 
 
 def solve_linear_system(ring: Ring, A: Sequence[Sequence], b: Sequence):

@@ -77,20 +77,6 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def multiplicative_order(a: int, m: int) -> int:
-    """Order of a in (Z/m)^*; a must be coprime to m."""
-    if m == 1:
-        return 1
-    if math.gcd(a, m) != 1:
-        raise ValueError(f"{a} is not a unit mod {m}")
-    order = 1
-    acc = a % m
-    while acc != 1:
-        acc = acc * a % m
-        order += 1
-    return order
-
-
 def sqrt_mod_prime(a: int, p: int) -> int | None:
     """A square root of a mod p, or None if a is a non-residue.
 

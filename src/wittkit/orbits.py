@@ -98,11 +98,12 @@ def _orbit_partition(p: int, n: int) -> list[list[int]]:
     return orbits
 
 
-def packet_summary(p: int, n: int) -> PacketSummary:
-    """Orbit packet over the closed point with residue field F_{p^n}.
+def _packet(p: int, n: int) -> tuple[PacketSummary, list[list[int]]]:
+    """Summary and orbit partition of the packet over F_{p^n}.
 
-    Every faithful orbit must have length exactly n; a violation would
-    falsify the model and raises immediately.
+    Every faithful orbit must have length exactly n, and the orbits must
+    cover the phi(p^n - 1) faithful points; a violation would falsify
+    the model and raises immediately.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -121,7 +122,7 @@ def packet_summary(p: int, n: int) -> PacketSummary:
     faithful = euler_phi(max(m, 1))
     if len(orbits) * expected_len != faithful:
         raise AssertionError("orbit partition does not cover the faithful points")
-    return PacketSummary(
+    summary = PacketSummary(
         p=p,
         n=n,
         orbit_count=len(orbits),
@@ -129,12 +130,18 @@ def packet_summary(p: int, n: int) -> PacketSummary:
         suspension_length=n * math.log(p),
         faithful_count=faithful,
     )
+    return summary, orbits
+
+
+def packet_summary(p: int, n: int) -> PacketSummary:
+    """Orbit packet over the closed point with residue field F_{p^n}."""
+    return _packet(p, n)[0]
 
 
 def packet_report(p: int, n: int, list_limit: int = 10**4) -> dict:
     """JSON-ready packet summary; the orbit listing is included only
     when the faithful count stays within list_limit."""
-    s = packet_summary(p, n)
+    s, orbits = _packet(p, n)
     report = {
         "p": s.p,
         "n": s.n,
@@ -147,7 +154,7 @@ def packet_report(p: int, n: int, list_limit: int = 10**4) -> dict:
         else None,
     }
     if s.faithful_count <= list_limit:
-        report["orbits"] = _orbit_partition(p, n)
+        report["orbits"] = orbits
     else:
         report["orbits"] = None
         report["orbits_omitted"] = (

@@ -3,6 +3,11 @@
 A series carries coefficients for orders 0..N. Arithmetic truncates to
 the smaller order of the operands. exp and log are restricted to Q,
 which is where they are needed (ghost reconstruction, zeta expansion).
+
+Newton's identities between the coefficients of a polynomial and its
+power sums live here once: power_sums is the forward recurrence,
+poly_from_power_sums the inverse. Ghost components, exp, log, the
+tensor determinant and F_nu are all built on this pair.
 """
 
 from __future__ import annotations
@@ -113,38 +118,58 @@ def series_of_rational(num: Polynomial, den: Polynomial, order: int) -> Truncate
     return TruncatedPowerSeries(R, out)
 
 
+def power_sums(P: Polynomial, m: int) -> list:
+    """p_1..p_m with p_k = sum of a_i^k where P = prod(1 - a_i t).
+
+    Newton's identity in the direction that needs no division, so any
+    coefficient ring works. Equivalently -t P'/P = sum p_k t^k, which
+    holds for any P with constant term 1, not only for products.
+    """
+    R = P.ring
+    out: list = []
+    for n in range(1, m + 1):
+        acc = R.mul(R.from_int(-n), P[n])
+        for k in range(max(1, n - P.degree), n):  # P[n - k] = 0 for smaller k
+            acc = R.sub(acc, R.mul(out[k - 1], P[n - k]))
+        out.append(acc)
+    return out
+
+
+def poly_from_power_sums(ring: Ring, sums: Sequence, degree: int) -> Polynomial:
+    """Inverse of power_sums, to the given degree; the divisions by n are
+    exact for genuine power-sum data (over Z they recover integer
+    determinant coefficients)."""
+    c: list = [ring.one]
+    for n in range(1, degree + 1):
+        acc = sums[n - 1]
+        for k in range(1, n):
+            acc = ring.add(acc, ring.mul(sums[k - 1], c[n - k]))
+        c.append(ring.div(ring.neg(acc), ring.from_int(n)))
+    return Polynomial(ring, c)
+
+
 def series_exp(s: TruncatedPowerSeries) -> TruncatedPowerSeries:
-    """exp of a series with constant term 0, over Q."""
+    """exp of a series with constant term 0, over Q.
+
+    exp(s) has power sums -n*s_n, since -t (d/dt) log exp(s) = -t s'.
+    """
     if s.ring != QQ:
         raise ValueError("exp needs coefficients over Q")
     if s.coeffs[0] != 0:
         raise ValueError("exp needs constant term 0")
     N = s.order
-    out = [QQ.one]
-    # E' = s'E termwise: n*E_n = sum_{k=1..n} k*s_k*E_{n-k}
-    for n in range(1, N + 1):
-        acc = QQ.zero
-        for k in range(1, n + 1):
-            acc += k * s.coeffs[k] * out[n - k]
-        out.append(acc / n)
-    return TruncatedPowerSeries(QQ, out)
+    sums = [-n * s.coeffs[n] for n in range(1, N + 1)]
+    return series_of_polynomial(poly_from_power_sums(QQ, sums, N), N)
 
 
 def series_log(s: TruncatedPowerSeries) -> TruncatedPowerSeries:
-    """log of a series with constant term 1, over Q."""
+    """log of a series with constant term 1, over Q: L_n = -p_n / n."""
     if s.ring != QQ:
         raise ValueError("log needs coefficients over Q")
     if s.coeffs[0] != 1:
         raise ValueError("log needs constant term 1")
-    N = s.order
-    out = [QQ.zero]
-    # f L' = f' termwise: n*f_0*L_n = n*f_n - sum_{j=1..n-1} f_j*(n-j)*L_{n-j}
-    for n in range(1, N + 1):
-        acc = n * s.coeffs[n]
-        for j in range(1, n):
-            acc -= s.coeffs[j] * (n - j) * out[n - j]
-        out.append(acc / n)
-    return TruncatedPowerSeries(QQ, out)
+    sums = power_sums(Polynomial(QQ, s.coeffs), s.order)
+    return TruncatedPowerSeries(QQ, [QQ.zero] + [-p / n for n, p in enumerate(sums, 1)])
 
 
 def pade_reconstruct(

@@ -9,20 +9,28 @@ both operations into pointwise arithmetic.
 The tensor determinant det(1 - t A (x) B) is evaluated through Newton
 power sums rather than a literal Kronecker matrix: the power sums of
 A (x) B are products of those of A and B, and both directions of the
-Newton recurrence are division-free or exactly divisible, so the path
-is exact over Z and, by lifting representatives, over F_p. The literal
-Kronecker/Berkowitz route is kept alongside as a cross-check.
+Newton recurrence (series.power_sums, series.poly_from_power_sums) are
+division-free or exactly divisible, so the path is exact over Z and, by
+lifting representatives, over F_p. Ghost components and F_nu use the
+same recurrence. The literal Kronecker/Berkowitz matrix routes live in
+the test suite, as the oracle these are checked against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
-from .matrices import Matrix, companion, det_one_minus_t
 from .poly import Polynomial
 from .rings import QQ, ZZ, PrimeField, Ring
-from .series import TruncatedPowerSeries, pade_reconstruct, series_of_rational
+from .series import (
+    TruncatedPowerSeries,
+    pade_reconstruct,
+    poly_from_power_sums,
+    power_sums,
+    series_of_polynomial,
+    series_of_rational,
+)
 
 DEFAULT_MATRIX_CAP = 64
 
@@ -103,11 +111,6 @@ class WittVector:
         return cls(num, den)
 
 
-class MatrixPair(NamedTuple):
-    A: Matrix
-    B: Matrix
-
-
 def witt_zero(ring: Ring = ZZ) -> WittVector:
     return WittVector(Polynomial.one(ring))
 
@@ -136,43 +139,6 @@ def witt_neg(f: WittVector) -> WittVector:
 
 def witt_sub(f: WittVector, g: WittVector) -> WittVector:
     return witt_add(f, witt_neg(g))
-
-
-def companion_pair(f: WittVector) -> MatrixPair:
-    """Almkvist representative (A, B) with det(1-tA)/det(1-tB) = f."""
-    A = companion(f.num.reversal())
-    B = companion(f.den.reversal())
-    if det_one_minus_t(A) != f.num or det_one_minus_t(B) != f.den:
-        raise RuntimeError("companion pair failed det re-expansion")
-    return MatrixPair(A, B)
-
-
-def power_sums(P: Polynomial, m: int) -> list:
-    """p_1..p_m with p_k = sum of a_i^k where P = prod(1 - a_i t).
-
-    Newton's identity in the direction that needs no division, so any
-    coefficient ring works.
-    """
-    R = P.ring
-    out: list = []
-    for n in range(1, m + 1):
-        acc = R.mul(R.from_int(-n), P[n])
-        for k in range(1, n):
-            acc = R.sub(acc, R.mul(out[k - 1], P[n - k]))
-        out.append(acc)
-    return out
-
-
-def poly_from_power_sums(ring: Ring, sums: Sequence, degree: int) -> Polynomial:
-    """Inverse of power_sums; the divisions by n are exact for genuine
-    power-sum data (over Z they recover integer determinant coefficients)."""
-    c: list = [ring.one]
-    for n in range(1, degree + 1):
-        acc = sums[n - 1]
-        for k in range(1, n):
-            acc = ring.add(acc, ring.mul(sums[k - 1], c[n - k]))
-        c.append(ring.div(ring.neg(acc), ring.from_int(n)))
-    return Polynomial(ring, c)
 
 
 def tensor_det(P: Polynomial, Q: Polynomial) -> Polynomial:
@@ -212,34 +178,23 @@ def witt_mul(f: WittVector, g: WittVector, cap: int = DEFAULT_MATRIX_CAP) -> Wit
     return WittVector(num, den)
 
 
-def witt_mul_kronecker(f: WittVector, g: WittVector) -> WittVector:
-    """Reference path: literal Kronecker products and division-free
-    determinants. Slow; used to cross-check witt_mul."""
-    pf, pg = companion_pair(f), companion_pair(g)
-    num = det_one_minus_t(pf.A.kron(pg.A)) * det_one_minus_t(pf.B.kron(pg.B))
-    den = det_one_minus_t(pf.A.kron(pg.B)) * det_one_minus_t(pf.B.kron(pg.A))
-    return WittVector(num, den)
-
-
 def ghost(f: WittVector, N: int) -> list:
-    """g_1..g_N, the coefficients of -t (d/dt) log f."""
+    """g_1..g_N, the coefficients of -t (d/dt) log f.
+
+    -t (d/dt) log(num/den) splits into the power sums of num minus those
+    of den, so no series expansion is needed.
+    """
     if N < 1:
         raise ValueError("N must be >= 1")
     R = f.ring
-    c = f.series(N).coeffs
-    out: list = []
-    for n in range(1, N + 1):
-        acc = R.mul(R.from_int(-n), c[n])
-        for k in range(1, n):
-            acc = R.sub(acc, R.mul(out[k - 1], c[n - k]))
-        out.append(acc)
-    return out
+    return [R.sub(a, b) for a, b in zip(power_sums(f.num, N), power_sums(f.den, N))]
 
 
 def from_ghost(g: Sequence, dnum: int, dden: int) -> WittVector:
     """Reconstruct f over Q with the given ghost components.
 
-    f = exp(-sum g_n t^n / n) expanded as a series, then rationalized;
+    The ghost components of f are its power sums, so the inverse Newton
+    recurrence expands f as a series, which is then rationalized;
     raises "no rational reconstruction" if no (dnum, dden) form matches
     every ghost component supplied.
     """
@@ -247,14 +202,8 @@ def from_ghost(g: Sequence, dnum: int, dden: int) -> WittVector:
     N = len(gq)
     if N < 1:
         raise ValueError("ghost sequence is empty")
-    coeffs = [QQ.one]
-    # f'/f = -sum g_n t^{n-1} gives n c_n = -(g_n + sum_{k<n} g_k c_{n-k})
-    for n in range(1, N + 1):
-        acc = gq[n - 1]
-        for k in range(1, n):
-            acc += gq[k - 1] * coeffs[n - k]
-        coeffs.append(-acc / n)
-    num, den = pade_reconstruct(TruncatedPowerSeries(QQ, coeffs), dnum, dden)
+    s = series_of_polynomial(poly_from_power_sums(QQ, gq, N), N)
+    num, den = pade_reconstruct(s, dnum, dden)
     return WittVector(num, den)
 
 
@@ -276,17 +225,6 @@ def frobenius(f: WittVector, nu: int) -> WittVector:
     if nu == 1:
         return f
     return WittVector(_frobenius_poly(f.num, nu), _frobenius_poly(f.den, nu))
-
-
-def frobenius_via_matrices(f: WittVector, nu: int) -> WittVector:
-    """Reference path: literal matrix powers and division-free
-    determinants; used to cross-check frobenius."""
-    if nu < 1:
-        raise ValueError("nu must be >= 1")
-    pair = companion_pair(f)
-    return WittVector(
-        det_one_minus_t(pair.A.pow(nu)), det_one_minus_t(pair.B.pow(nu))
-    )
 
 
 def verschiebung(f: WittVector, nu: int) -> WittVector:

@@ -10,6 +10,7 @@ Euler and Ruelle products term-for-term identical.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,10 +18,10 @@ from fractions import Fraction
 import numpy as np
 
 from .counting import DEFAULT_ENUM_CAP, AffineVariety, count_points
-from .finitefield import _is_irreducible
-from .ntheory import TRIAL_DIVISION_LIMIT, factorize, is_prime, primes_upto
+from .finitefield import monic_polys
+from .ntheory import factorize, is_prime, primes_upto
 from .poly import Polynomial
-from .rings import GF, QQ, ZZ
+from .rings import QQ, ZZ
 from .series import TruncatedPowerSeries, pade_reconstruct, series_exp
 from .util import kahan_sum
 from .witt import WittVector, ghost
@@ -180,20 +181,14 @@ def _poly_irreducible_factors(f: Polynomial) -> dict[Polynomial, int]:
     """Monic irreducible factorization over F_p by trial division in
     lexicographic order; composite candidates never divide the reduced
     remainder, exactly like integer trial division."""
-    R = f.ring
-    p = R.characteristic
+    p = f.ring.characteristic
     if f.is_zero():
         raise ValueError("cannot factor 0")
     rem = f.monic()
     out: dict[Polynomial, int] = {}
     d = 1
     while rem.degree >= 2 * d:
-        for code in range(p**d):
-            coeffs, k = [], code
-            for _ in range(d):
-                coeffs.append(k % p)
-                k //= p
-            cand = Polynomial(R, coeffs + [1])
+        for cand in monic_polys(p, d):
             while (rem % cand).is_zero():
                 out[cand] = out.get(cand, 0) + 1
                 rem = rem.exact_div(cand)
@@ -305,19 +300,19 @@ def ledger_quadratic(d: int, bound: float) -> ClosedPointLedger:
 
 
 def count_irreducibles(q: int, degree: int) -> int:
-    """Monic irreducibles of the given degree over F_q, by enumeration."""
+    """Monic irreducibles of the given degree over F_q, by Gauss's
+    necklace formula (1/d) sum_{e | d} mu(e) q^(d/e); only the
+    squarefree e, products of distinct primes of d, contribute."""
     if not is_prime(q):
         raise ValueError("only prime q supported for the projective-line ledger")
-    R = GF(q)
+    if degree < 1:
+        raise ValueError("degree must be >= 1")
+    primes = list(factorize(degree)) if degree > 1 else []
     total = 0
-    for code in range(q**degree):
-        coeffs, k = [], code
-        for _ in range(degree):
-            coeffs.append(k % q)
-            k //= q
-        if _is_irreducible(Polynomial(R, coeffs + [1]), q):
-            total += 1
-    return total
+    for k in range(len(primes) + 1):
+        for subset in itertools.combinations(primes, k):
+            total += (-1) ** k * q ** (degree // math.prod(subset))
+    return total // degree
 
 
 def ledger_projective_line(q: int, bound: float) -> ClosedPointLedger:
@@ -335,6 +330,8 @@ def ledger_projective_line(q: int, bound: float) -> ClosedPointLedger:
 
 def closed_points(source: str, bound: float) -> ClosedPointLedger:
     """Dispatcher: 'spec Z', 'quadratic:<d>', or 'curve:<q>'."""
+    if not math.isfinite(bound):
+        raise ValueError(f"--bound must be a finite number, got {bound!r}")
     if source == "spec Z":
         return ledger_spec_z(bound)
     if source.startswith("quadratic:"):
@@ -358,7 +355,7 @@ def euler_vs_ruelle(
     factor through the stored length, so the two sides are identical
     computations whenever length = log(norm) holds exactly.
     """
-    if s <= 1:
+    if not s > 1:  # also refuses nan
         raise ValueError("s must be > 1")
     euler = 1.0
     ruelle = 1.0

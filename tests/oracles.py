@@ -1,0 +1,225 @@
+"""Slow reference routes, kept as oracles for the library's fast paths.
+
+Nothing in wittkit imports this module. It holds the literal matrix
+constructions that the Newton power-sum routes in wittkit replace:
+
+- Matrix, det_one_minus_t (Berkowitz, division-free) and companion;
+- companion_pair, the Almkvist representative (A, B) of a Witt vector;
+- witt_mul_kronecker and frobenius_via_matrices, which compute the
+  product and F_nu through literal Kronecker products and matrix powers;
+- ghost_via_series, the ghost map read off the expanded series;
+- count_irreducibles_by_enumeration, a test of every monic candidate.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import NamedTuple, Sequence
+
+from wittkit.finitefield import _is_irreducible
+from wittkit.poly import Polynomial
+from wittkit.rings import GF, Ring
+from wittkit.witt import WittVector
+
+
+class Matrix:
+    __slots__ = ("ring", "rows")
+
+    def __init__(self, ring: Ring, rows: Sequence[Sequence]):
+        rs = tuple(tuple(ring.coerce(x) for x in row) for row in rows)
+        for row in rs:
+            if len(row) != len(rs):
+                raise ValueError("matrix must be square")
+        self.ring = ring
+        self.rows = rs
+
+    @classmethod
+    def identity(cls, ring: Ring, n: int) -> "Matrix":
+        return cls(
+            ring, [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
+        )
+
+    @property
+    def size(self) -> int:
+        return len(self.rows)
+
+    def __eq__(self, other):
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return self.ring == other.ring and self.rows == other.rows
+
+    def __hash__(self):
+        return hash((self.ring, self.rows))
+
+    def __repr__(self):
+        return f"Matrix({self.ring!r}, {[list(r) for r in self.rows]!r})"
+
+    def __mul__(self, other: "Matrix") -> "Matrix":
+        if self.ring != other.ring:
+            raise ValueError("ring mismatch")
+        if self.size != other.size:
+            raise ValueError("size mismatch")
+        R = self.ring
+        n = self.size
+        cols = list(zip(*other.rows))
+        out = []
+        for row in self.rows:
+            out_row = []
+            for col in cols:
+                acc = R.zero
+                for a, b in zip(row, col):
+                    acc = R.add(acc, R.mul(a, b))
+                out_row.append(acc)
+            out.append(out_row)
+        return Matrix(R, out)
+
+    def pow(self, k: int) -> "Matrix":
+        if k < 0:
+            raise ValueError("negative matrix power")
+        acc = Matrix.identity(self.ring, self.size)
+        base = self
+        while k:
+            if k & 1:
+                acc = acc * base
+            base = base * base
+            k >>= 1
+        return acc
+
+    def trace(self):
+        R = self.ring
+        acc = R.zero
+        for i in range(self.size):
+            acc = R.add(acc, self.rows[i][i])
+        return acc
+
+    def kron(self, other: "Matrix") -> "Matrix":
+        """Kronecker product; (n*m) x (n*m)."""
+        if self.ring != other.ring:
+            raise ValueError("ring mismatch")
+        R = self.ring
+        m = other.size
+        out = []
+        for i in range(self.size):
+            for k in range(m):
+                out.append(
+                    [
+                        R.mul(self.rows[i][j], other.rows[k][l])
+                        for j in range(self.size)
+                        for l in range(m)
+                    ]
+                )
+        return Matrix(R, out)
+
+
+def det_one_minus_t(M: Matrix) -> Polynomial:
+    """det(1 - tM) as a polynomial in t, by the Berkowitz algorithm.
+
+    Division-free, so it works over Z and over F_p for any p. The
+    Berkowitz vector of char(x) = det(xI - M), read with descending
+    powers of x, is exactly det(1 - tM) read with ascending powers of t.
+    """
+    R = M.ring
+    n = M.size
+    if n == 0:
+        return Polynomial.one(R)
+    rows = M.rows
+    # char vector of the trailing 1x1 principal submatrix
+    vec = [R.one, R.neg(rows[n - 1][n - 1])]
+    for i in range(n - 2, -1, -1):
+        m = n - i - 1  # current submatrix size
+        a = rows[i][i]
+        row = [rows[i][j] for j in range(i + 1, n)]
+        col = [rows[j][i] for j in range(i + 1, n)]
+        sub = [[rows[j][k] for k in range(i + 1, n)] for j in range(i + 1, n)]
+        # dot products row . sub^k . col for k = 0..m-1
+        dots = []
+        cur = col
+        for _ in range(m):
+            acc = R.zero
+            for rj, cj in zip(row, cur):
+                acc = R.add(acc, R.mul(rj, cj))
+            dots.append(acc)
+            nxt = []
+            for srow in sub:
+                s = R.zero
+                for sv, cv in zip(srow, cur):
+                    s = R.add(s, R.mul(sv, cv))
+                nxt.append(s)
+            cur = nxt
+        toep = [R.one, R.neg(a)] + [R.neg(d) for d in dots]
+        out = [R.zero] * (m + 2)
+        for j, v in enumerate(vec):
+            if R.is_zero(v):
+                continue
+            for k in range(m + 2 - j):
+                out[j + k] = R.add(out[j + k], R.mul(toep[k], v))
+        vec = out
+    return Polynomial(R, vec)
+
+
+def companion(monic: Polynomial) -> Matrix:
+    """Companion matrix of a monic polynomial (in the x variable)."""
+    R = monic.ring
+    n = monic.degree
+    if n < 0 or not R.eq(monic.leading(), R.one):
+        raise ValueError("companion matrix needs a monic polynomial")
+    rows = [
+        [R.one if j == i - 1 else R.zero for j in range(n - 1)] + [R.neg(monic[i])]
+        for i in range(n)
+    ]
+    return Matrix(R, rows)
+
+
+class MatrixPair(NamedTuple):
+    A: Matrix
+    B: Matrix
+
+
+def companion_pair(f: WittVector) -> MatrixPair:
+    """Almkvist representative (A, B) with det(1-tA)/det(1-tB) = f."""
+    A = companion(f.num.reversal())
+    B = companion(f.den.reversal())
+    if det_one_minus_t(A) != f.num or det_one_minus_t(B) != f.den:
+        raise RuntimeError("companion pair failed det re-expansion")
+    return MatrixPair(A, B)
+
+
+def witt_mul_kronecker(f: WittVector, g: WittVector) -> WittVector:
+    """Literal Kronecker products and division-free determinants."""
+    pf, pg = companion_pair(f), companion_pair(g)
+    num = det_one_minus_t(pf.A.kron(pg.A)) * det_one_minus_t(pf.B.kron(pg.B))
+    den = det_one_minus_t(pf.A.kron(pg.B)) * det_one_minus_t(pf.B.kron(pg.A))
+    return WittVector(num, den)
+
+
+def frobenius_via_matrices(f: WittVector, nu: int) -> WittVector:
+    """Literal matrix powers and division-free determinants."""
+    if nu < 1:
+        raise ValueError("nu must be >= 1")
+    pair = companion_pair(f)
+    return WittVector(
+        det_one_minus_t(pair.A.pow(nu)), det_one_minus_t(pair.B.pow(nu))
+    )
+
+
+def ghost_via_series(f: WittVector, N: int) -> list:
+    """g_1..g_N by expanding f to order N and running Newton's identity
+    on the series coefficients."""
+    R = f.ring
+    c = f.series(N).coeffs
+    out: list = []
+    for n in range(1, N + 1):
+        acc = R.mul(R.from_int(-n), c[n])
+        for k in range(1, n):
+            acc = R.sub(acc, R.mul(out[k - 1], c[n - k]))
+        out.append(acc)
+    return out
+
+
+def count_irreducibles_by_enumeration(q: int, degree: int) -> int:
+    """Monic irreducibles of the given degree over F_q, one test each."""
+    R = GF(q)
+    return sum(
+        _is_irreducible(Polynomial(R, list(low) + [1]), q)
+        for low in itertools.product(range(q), repeat=degree)
+    )

@@ -183,3 +183,23 @@ def test_property_seed_env_override(monkeypatch):
     monkeypatch.setenv("WITT_ORBIT_SEED", "not-a-number")
     with pytest.raises(ValueError, match="WITT_ORBIT_SEED"):
         property_seed()
+
+
+def test_non_finite_bound_refused(capsys):
+    for source in ("spec Z", "quadratic:-4", "curve:2"):  # curve:2 last: unguarded, it never returns
+        for verb in (["ledger"], ["euler", "--s", "2"]):
+            code, out, err = run_cli(capsys, ["zeta"] + verb + ["--source", source,
+                                                               "--bound", "inf"])
+            assert code == 1
+            assert "--bound" in err
+            assert "Traceback" not in err
+            assert out == ""
+
+
+def test_nan_s_refused(capsys):
+    code, out, err = run_cli(capsys, ["zeta", "euler", "--source", "spec Z",
+                                      "--bound", "100", "--s", "nan"])
+    assert code == 1
+    assert "s must be > 1" in err
+    assert "Traceback" not in err
+    assert out == ""

@@ -7,7 +7,6 @@ from wittkit.witt import (
     WittVector,
     canonical_projection,
     frobenius,
-    frobenius_via_matrices,
     from_ghost,
     ghost,
     poly_from_power_sums,
@@ -17,13 +16,12 @@ from wittkit.witt import (
     verschiebung,
     witt_add,
     witt_mul,
-    witt_mul_kronecker,
     witt_neg,
     witt_one,
     witt_sub,
     witt_zero,
 )
-from wittkit.matrices import companion
+from oracles import companion, frobenius_via_matrices, witt_mul_kronecker
 
 
 def ZP(coeffs):
