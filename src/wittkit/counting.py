@@ -3,8 +3,9 @@
 A variety is a list of multivariate polynomials over F_p in dense
 exponent-vector form. Counting enumerates all of F_{p^n}^k; the last
 variable is swept as a whole numpy vector per assignment of the outer
-variables, with field arithmetic done on integer element codes through
-exp/log tables.
+variables. Field arithmetic runs on integer element codes through the
+exp/log/digit tables of `FiniteField.tables()`; products are sums of
+logs and sums add digits mod p.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from .finitefield import FiniteField, finite_field_make
+from .finitefield import finite_field_make
 from .ntheory import is_prime
 
 DEFAULT_ENUM_CAP = 10**8
@@ -70,62 +71,6 @@ class AffineVariety:
         )
 
 
-class _FieldTables:
-    """Element codes 0..q-1 with exp/log multiplication and digit addition."""
-
-    def __init__(self, field: FiniteField):
-        self.field = field
-        q, p, n = field.q, field.p, field.n
-        self.q, self.p, self.n = q, p, n
-        self.m = q - 1  # order of the multiplicative group, always >= 1
-        exp = np.zeros(self.m, dtype=np.int64)
-        log = np.full(q, -1, dtype=np.int64)
-        cur = field.one
-        for k in range(self.m):
-            code = field.encode(cur)
-            exp[k] = code
-            log[code] = k
-            cur = field.mul(cur, field.gen)
-        self.exp = exp
-        self.log = log
-        digits = np.zeros((q, n), dtype=np.int64)
-        for code in range(q):
-            digits[code] = field.decode(code)
-        self.digits = digits
-        self._pow_cache: dict[int, np.ndarray] = {}
-
-    def pow_all(self, e: int) -> np.ndarray:
-        """x^e for every element code x, as a code vector."""
-        if e not in self._pow_cache:
-            q = self.q
-            out = np.zeros(q, dtype=np.int64)
-            if e == 0:
-                out[:] = 1
-            else:
-                out[1:] = self.exp[(self.log[1:] * e) % self.m]
-            self._pow_cache[e] = out
-        return self._pow_cache[e]
-
-    def mul_scalar(self, c: int, v: np.ndarray) -> np.ndarray:
-        """c * v on codes, c a scalar code."""
-        if c == 0:
-            return np.zeros_like(v)
-        out = np.zeros_like(v)
-        nz = v != 0
-        out[nz] = self.exp[(self.log[c] + self.log[v[nz]]) % self.m]
-        return out
-
-    def scalar_mul_scalar(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return int(self.exp[(self.log[a] + self.log[b]) % self.m])
-
-    def add_codes(self, acc_digits: np.ndarray, v: np.ndarray) -> None:
-        """acc_digits += digits(v) componentwise mod p, in place."""
-        acc_digits += self.digits[v]
-        acc_digits %= self.p
-
-
 def count_points(X: AffineVariety, n: int, cap: int = DEFAULT_ENUM_CAP) -> int:
     """#X(F_{p^n}) by exhaustive enumeration of F_{p^n}^k."""
     if n < 1:
@@ -136,42 +81,51 @@ def count_points(X: AffineVariety, n: int, cap: int = DEFAULT_ENUM_CAP) -> int:
             f"enumeration needs {steps} evaluation steps, above the cap {cap}"
         )
     field = finite_field_make(X.p, n)
-    tab = _FieldTables(field)
-    q, k = tab.q, X.nvars
+    q, k = field.q, X.nvars
 
     # constant equations decide without enumeration only when every
     # equation is constant; a single nonzero constant empties the variety
     nonconst = [eq for eq in X.equations if any(any(e) for _, e in eq)]
     for eq in X.equations:
-        if eq in nonconst:
-            continue
-        c = 0
-        for coeff, _ in eq:
-            c = (c + coeff) % X.p
-        if c != 0:
+        if eq not in nonconst and sum(coeff for coeff, _ in eq) % X.p:
             return 0
     if not nonconst:
         return q**k
 
-    last_pows = {e: tab.pow_all(e) for eq in nonconst for _, exps in eq for e in (exps[-1],)}
+    exp, log, digits = field.tables()
+    m = q - 1  # order of the multiplicative group, always >= 1
+    exp2 = np.concatenate((exp, exp))  # exp2[i + j] = g^(i + j) for i, j < m
+    columns = np.ascontiguousarray(digits.T)  # column c: the digits of code c
+    # each equation as (log of its coefficient, exponents), zero terms dropped
+    eqs = [
+        [(int(log[field.encode(field.from_int(c))]), exps) for c, exps in eq if c]
+        for eq in nonconst
+    ]
+    # ylog[e][y - 1] = log(y^e) mod m for every nonzero code y of the last variable
+    ylog = {e: e * log[1:] % m for e in {exps[-1] for eq in eqs for _, exps in eq}}
     total = 0
     for outer in product(range(q), repeat=k - 1):
         ok = None
-        for eq in nonconst:
-            acc = np.zeros((q, tab.n), dtype=np.int64)
-            for coeff, exps in eq:
-                c = coeff
-                for x, e in zip(outer, exps):
-                    if e:
-                        xe = int(tab.pow_all(e)[x])
-                        c = tab.scalar_mul_scalar(c, xe)
-                    if c == 0:
-                        break
-                if c == 0:
+        for eq in eqs:
+            # digits of the equation at each value of the last variable
+            acc = np.zeros((field.n, q), dtype=np.int64)
+            const = np.zeros(field.n, dtype=np.int64)
+            for c_log, exps in eq:
+                if any(x == 0 and e for x, e in zip(outer, exps)):
                     continue
-                term = tab.mul_scalar(c, last_pows[exps[-1]])
-                tab.add_codes(acc, term)
-            zero_here = ~np.any(acc, axis=1)
+                # log of the coefficient times the outer factors
+                c_log += sum(e * int(log[x]) for x, e in zip(outer, exps) if e)
+                c_log %= m
+                if exps[-1]:
+                    term = np.zeros(q, dtype=np.int64)
+                    term[1:] = exp2[c_log + ylog[exps[-1]]]
+                    acc += np.take(columns, term, axis=1)
+                else:
+                    const += columns[:, exp[c_log]]
+            acc += const[:, None]
+            # a column is zero mod p where the equation vanishes; acc // p * p
+            # because numpy's int64 % is several times slower than //
+            zero_here = np.all(acc == acc // X.p * X.p, axis=0)
             ok = zero_here if ok is None else (ok & zero_here)
         total += int(np.count_nonzero(ok))
     return total

@@ -1,20 +1,28 @@
 """Explicit finite fields F_{p^n} at desk scale.
 
-Elements are coefficient tuples (c_0, ..., c_{n-1}) of residues mod the
-chosen irreducible modulus, constant term first. Element k of the
-enumeration has digits of k base p, so "lexicographically smallest"
-always means smallest under that integer encoding; both the modulus and
-the published generator are picked that way, making field descriptions
-reproducible across runs.
+Elements are coefficient tuples (c_0, ..., c_{n-1}) of ints mod p,
+residues mod the chosen monic irreducible modulus, constant term first;
+no other module knows that encoding. One plain-int kernel
+(`_mulmod`/`_powmod`) serves field arithmetic, the generator search,
+discrete logs and the irreducibility test, and `FiniteField.tables()`
+builds exp/log/digit tables over element codes lazily, once per field.
+
+Element k of the enumeration has the digits of k base p, so
+"lexicographically smallest" always means smallest under that integer
+encoding; both the modulus and the published generator are picked that
+way, making field descriptions reproducible across runs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterator
 
+import numpy as np
+
 from .ntheory import factorize, is_prime
-from .poly import Polynomial
+from .poly import Polynomial, format_poly
 from .rings import GF
 
 DEFAULT_FIELD_LIMIT = 10**7
@@ -22,26 +30,51 @@ DEFAULT_FIELD_LIMIT = 10**7
 FFElem = tuple[int, ...]
 
 
-def _poly_powmod(base: Polynomial, e: int, mod: Polynomial) -> Polynomial:
-    acc = Polynomial.one(base.ring)
-    base = base % mod
+def _mulmod(a: FFElem, b: FFElem, low: FFElem, p: int) -> FFElem:
+    """a * b mod (t^n + low(t)) over F_p, n = len(low); inputs need not
+    be reduced mod p, the result is."""
+    n = len(low)
+    prod = [0] * max(len(a) + len(b) - 1, n)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                prod[j] += x * y
+    # t^k = -low(t) t^(k-n), from the top coefficient down
+    for k in range(len(prod) - 1, n - 1, -1):
+        c = prod[k] % p
+        if c:
+            for i, m in enumerate(low, k - n):
+                prod[i] -= c * m
+    return tuple(c % p for c in prod[:n])
+
+
+def _powmod(a: FFElem, e: int, low: FFElem, p: int) -> FFElem:
+    """a^e mod (t^n + low(t)) over F_p for e >= 0, by square-and-multiply."""
+    acc = (1,) + (0,) * (len(low) - 1)
     while e:
         if e & 1:
-            acc = (acc * base) % mod
-        base = (base * base) % mod
+            acc = _mulmod(acc, a, low, p)
+        a = _mulmod(a, a, low, p)
         e >>= 1
     return acc
 
 
 def _is_irreducible(f: Polynomial, p: int) -> bool:
-    """Degree-n modulus test: x^{p^n} = x mod f, and no subfield roots."""
+    """Monic degree-n modulus test: x^{p^n} = x mod f, and no subfield
+    roots (gcd(f, x^{p^{n/l}} - x) = 1 for each prime l | n)."""
     n = f.degree
-    x = Polynomial.t(f.ring)
-    if _poly_powmod(x, p**n, f) != x % f:
+    if n <= 1:
+        return True
+    low = f.coeffs[:n]
+    x = (0, 1) + (0,) * (n - 2)
+    frob = [x]  # frob[k] = x^{p^k} mod f
+    for _ in range(n):
+        frob.append(_powmod(frob[-1], p, low, p))
+    if frob[n] != x:
         return False
-    for ell in factorize(n) if n > 1 else {}:
-        g = _poly_powmod(x, p ** (n // ell), f) - x
-        if f.gcd(g).degree != 0:
+    t = Polynomial.t(f.ring)
+    for ell in factorize(n):
+        if f.gcd(Polynomial(f.ring, frob[n // ell]) - t).degree != 0:
             return False
     return True
 
@@ -69,21 +102,23 @@ def smallest_irreducible(p: int, n: int) -> Polynomial:
 class FiniteField:
     """F_{p^n} with a fixed modulus and a fixed published generator."""
 
-    def __init__(self, p: int, n: int, limit: int = DEFAULT_FIELD_LIMIT):
+    def __init__(self, p: int, n: int):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if n < 1:
             raise ValueError("n must be >= 1")
-        if p**n > limit:
-            raise ValueError(f"field size {p}^{n} exceeds limit {limit}")
+        if p**n > DEFAULT_FIELD_LIMIT:
+            raise ValueError(f"field size {p}^{n} exceeds limit {DEFAULT_FIELD_LIMIT}")
         self.p = p
         self.n = n
         self.q = p**n
         self.base = GF(p)
         self.modulus = smallest_irreducible(p, n)
+        self._low: FFElem = self.modulus.coeffs[:n]
         self.zero: FFElem = (0,) * n
         self.one: FFElem = (1,) + (0,) * (n - 1)
         self.gen = self._find_generator()
+        self._tables: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     # --- element encoding ---
 
@@ -123,29 +158,19 @@ class FiniteField:
         return self.add(a, self.neg(b))
 
     def mul(self, a: FFElem, b: FFElem) -> FFElem:
-        pa = Polynomial(self.base, a)
-        pb = Polynomial(self.base, b)
-        r = (pa * pb) % self.modulus
-        return tuple(r[i] for i in range(self.n))
+        return _mulmod(a, b, self._low, self.p)
 
     def pow(self, a: FFElem, e: int) -> FFElem:
         if e < 0:
             return self.pow(self.inv(a), -e)
-        acc = self.one
-        base = a
-        while e:
-            if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return acc
+        return _powmod(a, e, self._low, self.p)
 
     def inv(self, a: FFElem) -> FFElem:
         if a == self.zero:
             raise ZeroDivisionError("0 is not invertible")
         return self.pow(a, self.q - 2)
 
-    # --- generator and logs ---
+    # --- generator, logs and tables ---
 
     def is_generator(self, g: FFElem) -> bool:
         if g == self.zero:
@@ -163,7 +188,10 @@ class FiniteField:
         raise ValueError("no generator found")  # unreachable: F_q^* is cyclic
 
     def discrete_log(self, g: FFElem, x: FFElem) -> int:
-        """k with g^k = x, 0 <= k < q-1, by baby-step giant-step."""
+        """k with g^k = x, 0 <= k < q-1, by baby-step giant-step.
+
+        A one-shot log stays BSGS rather than a lookup in tables():
+        O(sqrt q) kernel steps instead of building q-entry tables."""
         if x == self.zero:
             raise ValueError("discrete log of 0 is undefined")
         if not self.is_generator(g):
@@ -183,11 +211,32 @@ class FiniteField:
             cur = self.mul(cur, giant)
         raise ValueError("discrete log not found")  # unreachable for generators
 
+    def tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(exp, log, digits) over element codes, built on first use.
+
+        exp[k] is the code of gen^k for 0 <= k < q-1; log[c] is the k
+        with exp[k] = c, and log[0] = -1 for the zero element, code 0;
+        digits[c] is the element with code c as a row of n coefficients.
+        All int64 and read-only."""
+        if self._tables is None:
+            p, n, q = self.p, self.n, self.q
+            exp = np.empty(q - 1, dtype=np.int64)
+            cur = self.one
+            for k in range(q - 1):
+                exp[k] = self.encode(cur)
+                cur = _mulmod(cur, self.gen, self._low, p)
+            log = np.full(q, -1, dtype=np.int64)
+            log[exp] = np.arange(q - 1, dtype=np.int64)
+            weights = p ** np.arange(n, dtype=np.int64)
+            digits = np.arange(q, dtype=np.int64)[:, None] // weights % p
+            for table in (exp, log, digits):
+                table.flags.writeable = False
+            self._tables = (exp, log, digits)
+        return self._tables
+
     # --- formatting ---
 
     def format_element(self, a: FFElem) -> str:
-        from .poly import format_poly
-
         return format_poly(Polynomial(self.base, a))
 
     def describe(self) -> dict:
@@ -203,12 +252,8 @@ class FiniteField:
         return f"FiniteField({self.p}, {self.n})"
 
 
-_cache: dict[tuple[int, int], FiniteField] = {}
-
-
-def finite_field_make(p: int, n: int, limit: int = DEFAULT_FIELD_LIMIT) -> FiniteField:
-    key = (p, n)
-    if key not in _cache:
-        _cache[key] = FiniteField(p, n, limit=limit)
-    return _cache[key]
-
+@functools.lru_cache(maxsize=64)
+def finite_field_make(p: int, n: int) -> FiniteField:
+    """The shared FiniteField(p, n); the 64 most recently used fields,
+    with any tables they built, stay cached."""
+    return FiniteField(p, n)

@@ -14,7 +14,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .finitefield import finite_field_make
+from .finitefield import DEFAULT_FIELD_LIMIT, finite_field_make
 from .ntheory import euler_phi, is_prime
 
 
@@ -150,7 +150,7 @@ def packet_report(p: int, n: int, list_limit: int = 10**4) -> dict:
         "suspension_length": s.suspension_length,
         "faithful_count": s.faithful_count,
         "generator": FiniteLevelPoint(p, n, 0).generator_tag
-        if p**n <= 10**7
+        if p**n <= DEFAULT_FIELD_LIMIT
         else None,
     }
     if s.faithful_count <= list_limit:

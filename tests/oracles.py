@@ -8,7 +8,10 @@ constructions that the Newton power-sum routes in wittkit replace:
 - witt_mul_kronecker and frobenius_via_matrices, which compute the
   product and F_nu through literal Kronecker products and matrix powers;
 - ghost_via_series, the ghost map read off the expanded series;
-- count_irreducibles_by_enumeration, a test of every monic candidate.
+- count_irreducibles_by_enumeration, a test of every monic candidate;
+- field_mul_reference, field_pow_reference and is_irreducible_reference,
+  finite-field arithmetic through Polynomial objects instead of the
+  plain-int kernel in wittkit.finitefield.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import itertools
 from typing import NamedTuple, Sequence
 
 from wittkit.finitefield import _is_irreducible
+from wittkit.ntheory import factorize
 from wittkit.poly import Polynomial
 from wittkit.rings import GF, Ring
 from wittkit.witt import WittVector
@@ -223,3 +227,41 @@ def count_irreducibles_by_enumeration(q: int, degree: int) -> int:
         _is_irreducible(Polynomial(R, list(low) + [1]), q)
         for low in itertools.product(range(q), repeat=degree)
     )
+
+
+def field_mul_reference(modulus: Polynomial, a, b) -> tuple:
+    """a * b in F_p[t]/(modulus) through Polynomial objects."""
+    pa = Polynomial(modulus.ring, a)
+    pb = Polynomial(modulus.ring, b)
+    r = (pa * pb) % modulus
+    return tuple(r[i] for i in range(modulus.degree))
+
+
+def _poly_powmod(base: Polynomial, e: int, mod: Polynomial) -> Polynomial:
+    acc = Polynomial.one(base.ring)
+    base = base % mod
+    while e:
+        if e & 1:
+            acc = (acc * base) % mod
+        base = (base * base) % mod
+        e >>= 1
+    return acc
+
+
+def field_pow_reference(modulus: Polynomial, a, e: int) -> tuple:
+    """a^e in F_p[t]/(modulus) for e >= 0, through Polynomial objects."""
+    r = _poly_powmod(Polynomial(modulus.ring, a), e, modulus)
+    return tuple(r[i] for i in range(modulus.degree))
+
+
+def is_irreducible_reference(f: Polynomial, p: int) -> bool:
+    """Degree-n modulus test: x^{p^n} = x mod f, and no subfield roots."""
+    n = f.degree
+    x = Polynomial.t(f.ring)
+    if _poly_powmod(x, p**n, f) != x % f:
+        return False
+    for ell in factorize(n) if n > 1 else {}:
+        g = _poly_powmod(x, p ** (n // ell), f) - x
+        if f.gcd(g).degree != 0:
+            return False
+    return True

@@ -1,9 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
 from wittkit.finitefield import FiniteField, finite_field_make, smallest_irreducible
-from wittkit.ntheory import euler_phi
+from wittkit.ntheory import euler_phi, primes_upto
 from wittkit.rings import GF
 
 
@@ -110,6 +111,20 @@ def test_from_int_and_frobenius_compatibility():
 
 def test_make_caches():
     assert finite_field_make(2, 3) is finite_field_make(2, 3)
+
+
+def test_make_cache_is_bounded_and_rebuilds_identically():
+    F = finite_field_make(2, 3)
+    tables = F.tables()
+    assert F.tables() is tables
+    for p in primes_upto(400)[:64]:  # 64 other fields evict F
+        finite_field_make(p, 1)
+    assert finite_field_make.cache_info().currsize == 64
+    G = finite_field_make(2, 3)
+    assert G is not F and G is finite_field_make(2, 3)
+    assert G.describe() == F.describe()
+    for old, new in zip(tables, G.tables()):
+        assert np.array_equal(old, new)
 
 
 def test_describe():

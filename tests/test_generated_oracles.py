@@ -5,8 +5,22 @@ WITT_ORBIT_SEED replays a failing draw."""
 import random
 from fractions import Fraction
 
-from oracles import count_irreducibles_by_enumeration, ghost_via_series
-from wittkit.finitefield import monic_polys
+from oracles import (
+    count_irreducibles_by_enumeration,
+    field_mul_reference,
+    field_pow_reference,
+    ghost_via_series,
+    is_irreducible_reference,
+)
+from wittkit.finitefield import (
+    DEFAULT_FIELD_LIMIT,
+    _is_irreducible,
+    _mulmod,
+    _powmod,
+    finite_field_make,
+    monic_polys,
+    smallest_irreducible,
+)
 from wittkit.poly import Polynomial
 from wittkit.rings import GF, QQ, ZZ
 from wittkit.series import poly_from_power_sums, power_sums
@@ -52,8 +66,52 @@ def test_monic_polys_in_code_order():
 
 
 def test_count_irreducibles_matches_enumeration():
-    # (7, 5) is left out: 16807 irreducibility tests take about 10 s
+    # (7, 5) is left out: 16807 irreducibility tests take about 2.5 s
     for q in (2, 3, 5, 7):
         for d in range(1, 6):
             if q**d <= 5**5:
                 assert count_irreducibles(q, d) == count_irreducibles_by_enumeration(q, d)
+
+
+def test_field_kernel_matches_reference():
+    rng = random.Random(property_seed() + 12)
+    for p in (2, 3, 5, 7, 101):
+        for n in range(1, 5):
+            f = smallest_irreducible(p, n)
+            low = f.coeffs[:n]
+            # 101^4 is above the field limit: that size runs on the bare kernel
+            F = finite_field_make(p, n) if p**n <= DEFAULT_FIELD_LIMIT else None
+            for _ in range(20):
+                a, b = (tuple(rng.randrange(p) for _ in range(n)) for _ in range(2))
+                e = rng.randrange(3 * p**n)
+                want_mul = field_mul_reference(f, a, b)
+                want_pow = field_pow_reference(f, a, e)
+                assert _mulmod(a, b, low, p) == want_mul, (p, n, a, b)
+                assert _powmod(a, e, low, p) == want_pow, (p, n, a, e)
+                if F is not None:
+                    assert F.mul(a, b) == want_mul and F.pow(a, e) == want_pow
+
+
+def test_is_irreducible_matches_reference():
+    for p in (2, 3, 5):
+        for d in range(5):
+            for f in monic_polys(p, d):
+                assert _is_irreducible(f, p) == is_irreducible_reference(f, p), f
+
+
+def test_tables_match_reference_multiplication():
+    rng = random.Random(property_seed() + 13)
+    fields = [(2, 1), (3, 1), (2, 4), (3, 3), (5, 2), (7, 2), (11, 1), (2, 7), (7, 3)]
+    for p, n in rng.sample(fields, 5):
+        F = finite_field_make(p, n)
+        exp, log, digits = F.tables()
+        assert exp.shape == (F.q - 1,) and log.shape == (F.q,)
+        assert digits.shape == (F.q, n)
+        cur = F.one
+        for k in range(F.q - 1):
+            code = sum(c * p**i for i, c in enumerate(cur))
+            assert exp[k] == code and log[code] == k, (p, n, k)
+            cur = field_mul_reference(F.modulus, cur, F.gen)
+        assert cur == F.one and log[0] == -1
+        for code in range(F.q):
+            assert list(digits[code]) == [code // p**i % p for i in range(n)]
