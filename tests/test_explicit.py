@@ -2,7 +2,9 @@ import math
 
 import pytest
 
+from wittkit import explicit
 from wittkit.explicit import (
+    QUAD_BLOCK_ROWS,
     TestFunction,
     ZeroTable,
     adaptive_simpson,
@@ -113,3 +115,24 @@ def test_zero_side_real_output():
     zeros = load_bundled_zeros()
     value = zero_side(phi, zeros, 25)
     assert isinstance(value, float)
+
+
+def test_defect_integrates_the_zero_side_once(monkeypatch):
+    calls = []
+    quad = explicit._quad_doubling
+
+    def counted(vec_f, a, b):
+        calls.append((a, b))
+        return quad(vec_f, a, b)
+
+    monkeypatch.setattr(explicit, "_quad_doubling", counted)
+    explicit._zero_transforms.cache_clear()
+    phi = TestFunction(1.5, 0.7)
+    zeros = load_bundled_zeros()
+    # K and the K = 10, 100, 1000 rows share one blocked zero side; the
+    # extra call is the archimedean integral of the prime side
+    blocks = math.ceil((2 * len(zeros) + 2) / QUAD_BLOCK_ROWS)
+    explicit_formula_defect(phi, zeros, 10, 10**4)
+    assert len(calls) == blocks + 1
+    explicit_formula_defect(phi, zeros, 10, 10**5)
+    assert len(calls) == blocks + 2

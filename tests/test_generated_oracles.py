@@ -12,6 +12,17 @@ from oracles import (
     ghost_via_series,
     is_irreducible_reference,
 )
+from wittkit.cli import main
+from wittkit.explicit import (
+    TestFunction,
+    ZeroTable,
+    _zero_transforms,
+    explicit_formula_defect,
+    load_bundled_zeros,
+    transform,
+    transform_simpson,
+    zero_side,
+)
 from wittkit.finitefield import (
     DEFAULT_FIELD_LIMIT,
     _is_irreducible,
@@ -115,3 +126,45 @@ def test_tables_match_reference_multiplication():
         assert cur == F.one and log[0] == -1
         for code in range(F.q):
             assert list(digits[code]) == [code // p**i % p for i in range(n)]
+
+
+def random_bump(rng):
+    r = round(rng.uniform(0.3, 0.9), 4)
+    return TestFunction(round(rng.uniform(r + 0.3, 3.0), 4), r)
+
+
+def test_batched_transforms_match_one_column_route():
+    rng = random.Random(property_seed() + 14)
+    bundled = load_bundled_zeros().gammas
+    for _ in range(3):
+        phi = random_bump(rng)
+        # zeros drawn from the whole table, so one block mixes columns that
+        # converge at different doublings
+        zeros = ZeroTable(tuple(sorted(rng.sample(bundled, 150))))
+        alphas = [0.0, 1.0] + [a for g in zeros.gammas for a in (0.5 + 1j * g, 0.5 - 1j * g)]
+        batched = _zero_transforms(phi, zeros).tolist()
+        assert len(batched) == len(alphas)
+        for alpha, value in zip(alphas, batched):
+            assert value == transform(phi, alpha), (phi, alpha)
+        low = [k for k, a in enumerate(alphas) if abs(complex(a).imag) < 250]
+        for k in [1] + rng.sample(low[2:], 2):
+            assert abs(batched[k] - transform_simpson(phi, alphas[k])) < 1e-10, (phi, alphas[k])
+
+
+def test_zero_side_output_is_plain_python(capsys):
+    rng = random.Random(property_seed() + 15)
+    phi = random_bump(rng)
+    zeros = load_bundled_zeros()
+    for K in (0, 10, 1000):
+        assert type(zero_side(phi, zeros, K)) is float
+    argv = ["explicit-formula", "run", "--bump", f"{phi.c},{phi.r}",
+            "--max-zeros", "100", "--prime-bound", "2000"]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert "\nzero side  = " in text and "np." not in text
+    assert main(argv + ["--format", "json"]) == 0
+    assert "np." not in capsys.readouterr().out
+    report = explicit_formula_defect(phi, zeros, 100, 2000)
+    values = [report["zero_side"], report["prime_side"], report["defect"]]
+    values += [row["defect"] for row in report["convergence"]]
+    assert all(type(v) is float for v in values)
