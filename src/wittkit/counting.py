@@ -63,12 +63,34 @@ class AffineVariety:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "AffineVariety":
-        return cls.make(
-            data["p"],
-            data["vars"],
-            [[(term[0], term[1]) for term in eq] for eq in data["equations"]],
-        )
+    def from_json(cls, data) -> "AffineVariety":
+        """Inverse of to_json; a missing or ill-typed field raises a
+        ValueError that names it."""
+        if not isinstance(data, dict):
+            raise ValueError("variety must be a JSON object with fields p, vars, equations")
+        for key in ("p", "vars", "equations"):
+            if key not in data:
+                raise ValueError(f"variety is missing field {key!r}")
+        for key in ("p", "vars"):
+            if type(data[key]) is not int:
+                raise ValueError(f"variety field {key!r} must be an integer")
+        eqs = data["equations"]
+        if not isinstance(eqs, list) or not all(
+            isinstance(eq, list) and all(_is_term(term) for term in eq) for eq in eqs
+        ):
+            raise ValueError(
+                "variety field 'equations' must be a list of equations, each a list"
+                " of [coefficient, [exponents...]] terms with integer entries"
+            )
+        return cls.make(data["p"], data["vars"], eqs)
+
+
+def _is_term(term) -> bool:
+    """[coefficient, [exponents...]] with integer entries (bool is not one)."""
+    return (
+        isinstance(term, list) and len(term) == 2 and type(term[0]) is int
+        and isinstance(term[1], list) and all(type(e) is int for e in term[1])
+    )
 
 
 def count_points(X: AffineVariety, n: int, cap: int = DEFAULT_ENUM_CAP) -> int:

@@ -4,8 +4,9 @@ both applied to smooth bump functions supported in R^{>0}.
 
 Phi(alpha) = integral of e^{t alpha} phi(t) dt over the support, by
 Gauss-Legendre quadrature with node doubling; an adaptive-Simpson
-integrator is included as the independent cross-check. Truncation is
-raw: K zeros, primes up to the bound, no smoothing factors.
+integrator in tests/oracles.py is the independent cross-check.
+Truncation is raw: K zeros, primes up to the bound, no smoothing
+factors.
 
 The zero side integrates its 2 * len(table) + 2 transforms in blocks of
 neighbouring alphas, one column each, through the same doubling loop as
@@ -119,7 +120,9 @@ def bundled_zeros_path():
     return resources.files("wittkit").joinpath("data/zeta_zeros_1000.txt")
 
 
+@functools.lru_cache(maxsize=1)
 def load_bundled_zeros() -> ZeroTable:
+    """The bundled table, read once; a ZeroTable is immutable."""
     return load_zeros(bundled_zeros_path())
 
 
@@ -193,39 +196,6 @@ def _zero_transforms(phi: TestFunction, zeros: ZeroTable) -> np.ndarray:
     ])
     values.flags.writeable = False
     return values
-
-
-def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = (a + b) / 2
-    lm, rm = (a + m) / 2, (m + b) / 2
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6 * (fa + 4 * flm + fm)
-    right = (b - m) / 6 * (fm + 4 * frm + fb)
-    if depth <= 0:
-        return left + right
-    if abs(left + right - whole) < 15 * tol:
-        return left + right + (left + right - whole) / 15
-    return _adaptive_simpson(
-        f, a, m, fa, flm, fm, left, tol / 2, depth - 1
-    ) + _adaptive_simpson(f, m, b, fm, frm, fb, right, tol / 2, depth - 1)
-
-
-def adaptive_simpson(f, a: float, b: float, tol: float = 1e-12, depth: int = 48):
-    """Second integrator, for cross-checking the quadrature."""
-    fa, fm, fb = f(a), f((a + b) / 2), f(b)
-    whole = (b - a) / 6 * (fa + 4 * fm + fb)
-    return _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth)
-
-
-def transform_simpson(phi: TestFunction, alpha: complex, tol: float = 1e-12) -> complex:
-    """Phi(alpha) by adaptive Simpson; independent of transform."""
-    a, b = phi.support
-    alpha_c = complex(alpha)
-    return complex(
-        adaptive_simpson(lambda t: math.exp(t * alpha_c.real) * phi(t)
-                         * complex(math.cos(t * alpha_c.imag), math.sin(t * alpha_c.imag)),
-                         a, b, tol=tol)
-    )
 
 
 def zero_side(phi: TestFunction, zeros: ZeroTable, K: int) -> float:

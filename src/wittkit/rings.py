@@ -8,6 +8,7 @@ descriptor so the same code runs over any of them.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .ntheory import is_prime
@@ -203,14 +204,11 @@ class PrimeField(Ring):
 ZZ = IntegerRing()
 QQ = RationalField()
 
-_prime_fields: dict[int, PrimeField] = {}
-
-
+@functools.lru_cache(maxsize=64)
 def GF(p: int) -> PrimeField:
-    """Cached prime-field descriptor."""
-    if p not in _prime_fields:
-        _prime_fields[p] = PrimeField(p)
-    return _prime_fields[p]
+    """Cached prime-field descriptor; an evicted one is rebuilt equal,
+    since rings compare and hash by name."""
+    return PrimeField(p)
 
 
 def ring_by_name(name: str) -> Ring:

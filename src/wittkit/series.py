@@ -8,13 +8,16 @@ Newton's identities between the coefficients of a polynomial and its
 power sums live here once: power_sums is the forward recurrence,
 poly_from_power_sums the inverse. Ghost components, exp, log, the
 tensor determinant and F_nu are all built on this pair.
+
+Padé reconstruction is rational-function reconstruction by the extended
+Euclidean algorithm on Polynomial over Q; the Toeplitz solve it replaces
+is a test oracle in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .matrices import solve_linear_system
 from .poly import Polynomial
 from .rings import QQ, Ring
 
@@ -177,10 +180,16 @@ def pade_reconstruct(
 ) -> tuple[Polynomial, Polynomial]:
     """Rational form (P, Q) with deg P <= dnum, deg Q <= dden, Q(0) = 1.
 
-    The denominator comes from the exact Toeplitz system on orders
-    dnum+1 .. dnum+dden; the candidate is then re-expanded and must
-    match every supplied coefficient, so the answer is a true rational
-    form of the data, not just a local fit.
+    Rational-function reconstruction by the extended Euclidean algorithm
+    (von zur Gathen & Gerhard, Modern Computer Algebra, chapter 5):
+    Euclid on t^(N+1) and s, for the series order N, keeps only the
+    cofactor u of s in each remainder r = u s mod t^(N+1) and stops at
+    the first r with deg r <= dnum. Every form that matches the data to
+    order N >= dnum + dden equals r/u as a rational function, so there
+    is none when u(0) = 0 or deg u > dden. The pair comes back in lowest
+    terms: the cofactors of one Euclid row are coprime, so r and u share
+    at most a power of t, and u(0) != 0. The candidate is re-expanded and
+    must match every supplied coefficient.
     """
     if dnum < 0 or dden < 0:
         raise ValueError("degrees must be >= 0")
@@ -191,29 +200,16 @@ def pade_reconstruct(
     if s.ring != QQ:
         raise ValueError("pade_reconstruct needs coefficients over Q")
 
-    def coeff(n: int):
-        return s.coeffs[n] if n >= 0 else QQ.zero
-
-    if dden == 0:
-        q_tail: list = []
-    else:
-        A = [
-            [coeff(n - j) for j in range(1, dden + 1)]
-            for n in range(dnum + 1, dnum + dden + 1)
-        ]
-        b = [QQ.neg(coeff(n)) for n in range(dnum + 1, dnum + dden + 1)]
-        sol = solve_linear_system(QQ, A, b)
-        if sol is None:
-            raise ValueError("no rational reconstruction")
-        q_tail = sol
-    den = Polynomial(QQ, [QQ.one] + q_tail)
-    num = Polynomial(
-        QQ,
-        [
-            sum((den[j] * coeff(n - j) for j in range(min(n, dden) + 1)), QQ.zero)
-            for n in range(dnum + 1)
-        ],
-    )
+    r0, r1 = Polynomial.one(QQ).shift(s.order + 1), Polynomial(QQ, s.coeffs)
+    u0, u1 = Polynomial.zero(QQ), Polynomial.one(QQ)
+    while r1.degree > dnum:
+        quot, rem = r0.divmod(r1)
+        r0, r1 = r1, rem
+        u0, u1 = u1, u0 - quot * u1
+    if u1.degree > dden or u1.constant() == 0:
+        raise ValueError("no rational reconstruction")
+    inv = QQ.inv(u1.constant())
+    num, den = r1.scale(inv), u1.scale(inv)
     if series_of_rational(num, den, s.order).coeffs != s.coeffs:
         raise ValueError("no rational reconstruction")
     return num, den

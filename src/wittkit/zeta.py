@@ -230,9 +230,6 @@ class ClosedPointLedger:
     bound: float
     entries: tuple[LedgerEntry, ...]
 
-    def to_rows(self) -> list[tuple[int, float, int]]:
-        return [(e.norm, e.length, e.multiplicity) for e in self.entries]
-
 
 def _merge(source: str, bound: float, raw: list[tuple[int, int]]) -> ClosedPointLedger:
     by_norm: dict[int, int] = {}

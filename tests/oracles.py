@@ -11,18 +11,26 @@ constructions that the Newton power-sum routes in wittkit replace:
 - count_irreducibles_by_enumeration, a test of every monic candidate;
 - field_mul_reference, field_pow_reference and is_irreducible_reference,
   finite-field arithmetic through Polynomial objects instead of the
-  plain-int kernel in wittkit.finitefield.
+  plain-int kernel in wittkit.finitefield;
+- solve_linear_system and pade_reconstruct_toeplitz, Padé reconstruction
+  by an exact Gauss-Jordan solve of the Toeplitz system instead of the
+  extended Euclidean algorithm in wittkit.series;
+- adaptive_simpson and transform_simpson, a second integrator for the
+  Gauss-Legendre transforms in wittkit.explicit.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import NamedTuple, Sequence
 
+from wittkit.explicit import TestFunction
 from wittkit.finitefield import _is_irreducible
 from wittkit.ntheory import factorize
 from wittkit.poly import Polynomial
-from wittkit.rings import GF, Ring
+from wittkit.rings import GF, QQ, Ring
+from wittkit.series import TruncatedPowerSeries, series_of_rational
 from wittkit.witt import WittVector
 
 
@@ -265,3 +273,119 @@ def is_irreducible_reference(f: Polynomial, p: int) -> bool:
         if f.gcd(g).degree != 0:
             return False
     return True
+
+
+def solve_linear_system(ring: Ring, A: Sequence[Sequence], b: Sequence):
+    """One exact solution of Ax = b over a field, or None if inconsistent.
+
+    Free variables are set to zero, so the answer is deterministic.
+    """
+    if not ring.is_field:
+        raise ValueError("linear solve needs a field")
+    rows = [list(r) + [b[i]] for i, r in enumerate(A)]
+    nrows = len(rows)
+    ncols = len(A[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if not ring.is_zero(rows[i][c])), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = ring.inv(rows[r][c])
+        rows[r] = [ring.mul(inv, x) for x in rows[r]]
+        for i in range(nrows):
+            if i != r and not ring.is_zero(rows[i][c]):
+                f = rows[i][c]
+                rows[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    for i in range(r, nrows):
+        if not ring.is_zero(rows[i][ncols]):
+            return None
+    x = [ring.zero] * ncols
+    for i, c in enumerate(pivots):
+        x[c] = rows[i][ncols]
+    return x
+
+
+def pade_reconstruct_toeplitz(
+    s: TruncatedPowerSeries, dnum: int, dden: int
+) -> tuple[Polynomial, Polynomial]:
+    """Rational form (P, Q) with deg P <= dnum, deg Q <= dden, Q(0) = 1.
+
+    The denominator comes from the exact Toeplitz system on orders
+    dnum+1 .. dnum+dden; the candidate is then re-expanded and must
+    match every supplied coefficient, so the answer is a true rational
+    form of the data, not just a local fit.
+    """
+    if dnum < 0 or dden < 0:
+        raise ValueError("degrees must be >= 0")
+    if s.order < dnum + dden:
+        raise ValueError(
+            f"series order {s.order} below dnum + dden = {dnum + dden}"
+        )
+    if s.ring != QQ:
+        raise ValueError("pade_reconstruct needs coefficients over Q")
+
+    def coeff(n: int):
+        return s.coeffs[n] if n >= 0 else QQ.zero
+
+    if dden == 0:
+        q_tail: list = []
+    else:
+        A = [
+            [coeff(n - j) for j in range(1, dden + 1)]
+            for n in range(dnum + 1, dnum + dden + 1)
+        ]
+        b = [QQ.neg(coeff(n)) for n in range(dnum + 1, dnum + dden + 1)]
+        sol = solve_linear_system(QQ, A, b)
+        if sol is None:
+            raise ValueError("no rational reconstruction")
+        q_tail = sol
+    den = Polynomial(QQ, [QQ.one] + q_tail)
+    num = Polynomial(
+        QQ,
+        [
+            sum((den[j] * coeff(n - j) for j in range(min(n, dden) + 1)), QQ.zero)
+            for n in range(dnum + 1)
+        ],
+    )
+    if series_of_rational(num, den, s.order).coeffs != s.coeffs:
+        raise ValueError("no rational reconstruction")
+    return num, den
+
+
+def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth):
+    m = (a + b) / 2
+    lm, rm = (a + m) / 2, (m + b) / 2
+    flm, frm = f(lm), f(rm)
+    left = (m - a) / 6 * (fa + 4 * flm + fm)
+    right = (b - m) / 6 * (fm + 4 * frm + fb)
+    if depth <= 0:
+        return left + right
+    if abs(left + right - whole) < 15 * tol:
+        return left + right + (left + right - whole) / 15
+    return _adaptive_simpson(
+        f, a, m, fa, flm, fm, left, tol / 2, depth - 1
+    ) + _adaptive_simpson(f, m, b, fm, frm, fb, right, tol / 2, depth - 1)
+
+
+def adaptive_simpson(f, a: float, b: float, tol: float = 1e-12, depth: int = 48):
+    """Second integrator, for cross-checking the quadrature."""
+    fa, fm, fb = f(a), f((a + b) / 2), f(b)
+    whole = (b - a) / 6 * (fa + 4 * fm + fb)
+    return _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth)
+
+
+def transform_simpson(phi: TestFunction, alpha: complex, tol: float = 1e-12) -> complex:
+    """Phi(alpha) by adaptive Simpson; independent of transform."""
+    a, b = phi.support
+    alpha_c = complex(alpha)
+    return complex(
+        adaptive_simpson(lambda t: math.exp(t * alpha_c.real) * phi(t)
+                         * complex(math.cos(t * alpha_c.imag), math.sin(t * alpha_c.imag)),
+                         a, b, tol=tol)
+    )

@@ -175,6 +175,27 @@ def test_computation_error_messages(capsys):
     assert "not 1 mod 4" in err
 
 
+def test_malformed_variety_file_refused(capsys, tmp_path):
+    cases = [
+        ({}, "missing field 'p'"),
+        ({"p": 5, "vars": 2, "equations": 7}, "field 'equations' must be"),
+        ({"p": "5", "vars": 2, "equations": []}, "field 'p' must be an integer"),
+        ({"p": 5, "equations": []}, "missing field 'vars'"),
+        ({"p": 5, "vars": 2, "equations": [[[1, 2]]]}, "field 'equations' must be"),
+        ([5, 2], "must be a JSON object"),
+    ]
+    path = tmp_path / "bad.json"
+    for data, message in cases:
+        path.write_text(json.dumps(data))
+        for verb in (["count", "--n", "1"], ["rational", "--max-n", "2",
+                                              "--dnum", "1", "--dden", "1"]):
+            code, out, err = run_cli(capsys, ["zeta", verb[0], "--variety", str(path)]
+                                     + verb[1:])
+            assert code == 1, data
+            assert err.startswith("wittkit: error: ") and message in err, (data, err)
+            assert out == ""
+
+
 def test_property_seed_env_override(monkeypatch):
     monkeypatch.delenv("WITT_ORBIT_SEED", raising=False)
     assert property_seed() == DEFAULT_PROPERTY_SEED

@@ -2,18 +2,17 @@ import math
 
 import pytest
 
+from oracles import adaptive_simpson, transform_simpson
 from wittkit import explicit
 from wittkit.explicit import (
     QUAD_BLOCK_ROWS,
     TestFunction,
     ZeroTable,
-    adaptive_simpson,
     explicit_formula_defect,
     load_bundled_zeros,
     load_zeros,
     prime_side,
     transform,
-    transform_simpson,
     zero_side,
 )
 
@@ -63,6 +62,10 @@ def test_bundled_zero_table():
     assert abs(zeros.gammas[1] - 21.022039638771554) < 1e-9
     assert zeros.gammas[-1] < 1420
     assert all(a < b for a, b in zip(zeros.gammas, zeros.gammas[1:]))
+
+
+def test_bundled_zero_table_is_read_once():
+    assert load_bundled_zeros() is load_bundled_zeros()
 
 
 def test_load_zeros_errors(tmp_path):

@@ -11,6 +11,8 @@ from oracles import (
     field_pow_reference,
     ghost_via_series,
     is_irreducible_reference,
+    pade_reconstruct_toeplitz,
+    transform_simpson,
 )
 from wittkit.cli import main
 from wittkit.explicit import (
@@ -20,7 +22,6 @@ from wittkit.explicit import (
     explicit_formula_defect,
     load_bundled_zeros,
     transform,
-    transform_simpson,
     zero_side,
 )
 from wittkit.finitefield import (
@@ -32,9 +33,16 @@ from wittkit.finitefield import (
     monic_polys,
     smallest_irreducible,
 )
+from wittkit.parser import parse_witt
 from wittkit.poly import Polynomial
 from wittkit.rings import GF, QQ, ZZ
-from wittkit.series import poly_from_power_sums, power_sums
+from wittkit.series import (
+    TruncatedPowerSeries,
+    pade_reconstruct,
+    poly_from_power_sums,
+    power_sums,
+    series_of_rational,
+)
 from wittkit.util import property_seed
 from wittkit.witt import WittVector, ghost
 from wittkit.zeta import count_irreducibles
@@ -168,3 +176,56 @@ def test_zero_side_output_is_plain_python(capsys):
     values = [report["zero_side"], report["prime_side"], report["defect"]]
     values += [row["defect"] for row in report["convergence"]]
     assert all(type(v) is float for v in values)
+
+
+def _pade_outcome(route, s, dnum, dden):
+    try:
+        return route(s, dnum, dden)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_pade_matches_toeplitz_route():
+    rng = random.Random(property_seed() + 16)
+    solved = 0
+    for case in range(800):
+        dnum, dden = rng.randint(0, 4), rng.randint(0, 4)
+        if case % 4 == 2:  # degenerate: no numerator or no denominator freedom
+            dnum, dden = (0, dden) if rng.random() < 0.5 else (dnum, 0)
+        if case % 4 == 3:  # data of lower degree than requested
+            true_num, true_den = rng.randint(0, dnum), rng.randint(0, dden)
+        else:
+            true_num, true_den = rng.randint(0, 4), rng.randint(0, 4)
+        num = Polynomial(QQ, [rng.randint(-5, 5) for _ in range(true_num + 1)])
+        den = Polynomial(QQ, [1] + [rng.randint(-5, 5) for _ in range(true_den)])
+        s = series_of_rational(num, den, dnum + dden + rng.randint(0, 3))
+        if case % 4 == 1:  # one coefficient perturbed
+            coeffs = list(s.coeffs)
+            coeffs[rng.randrange(len(coeffs))] += rng.choice((-1, 1))
+            s = TruncatedPowerSeries(QQ, coeffs)
+        fast = _pade_outcome(pade_reconstruct, s, dnum, dden)
+        slow = _pade_outcome(pade_reconstruct_toeplitz, s, dnum, dden)
+        assert type(fast) is type(slow), (s, dnum, dden, fast, slow)
+        if isinstance(fast, str):
+            assert fast == slow
+            continue
+        solved += 1
+        (P, Q), (P2, Q2) = fast, slow
+        assert P * Q2 == P2 * Q, (s, dnum, dden)
+        assert P.degree <= dnum and Q.degree <= dden and Q.constant() == 1
+        assert P.gcd(Q).degree == 0  # lowest terms
+    assert 200 < solved < 700  # both outcomes are exercised
+
+
+def test_parser_round_trip():
+    rng = random.Random(property_seed() + 17)
+    for case in range(300):
+        ring = (ZZ, QQ)[case % 2]
+        w = WittVector(random_poly(rng, ring, 4), random_poly(rng, ring, 4))
+        want = w
+        if ring == QQ:  # integral Q vectors come back over Z
+            try:
+                want = w.map_ring(ZZ)
+            except (TypeError, ValueError):
+                pass
+        assert parse_witt(str(w)) == want, w

@@ -4,8 +4,7 @@ import random
 import pytest
 from fractions import Fraction
 
-from oracles import Matrix, companion, det_one_minus_t
-from wittkit.matrices import solve_linear_system
+from oracles import Matrix, companion, det_one_minus_t, solve_linear_system
 from wittkit.poly import Polynomial
 from wittkit.rings import GF, QQ, ZZ
 

@@ -1,6 +1,7 @@
 import pytest
 from fractions import Fraction
 
+from wittkit.ntheory import primes_upto
 from wittkit.rings import GF, QQ, ZZ, ring_by_name
 
 
@@ -74,3 +75,13 @@ def test_ring_by_name_round_trip():
         assert ring_by_name(ring.name) == ring
     with pytest.raises(ValueError):
         ring_by_name("Fq:8")
+
+
+def test_gf_cache_is_bounded():
+    old = GF(5)
+    for p in [q for q in primes_upto(400) if q != 5][:64]:
+        GF(p)
+    assert GF.cache_info().currsize <= 64
+    new = GF(5)
+    assert new is not old  # evicted and rebuilt
+    assert new == old and hash(new) == hash(old)
