@@ -194,7 +194,10 @@ def _run_redei(args) -> tuple:
 
 def _run_product_formula(args) -> tuple:
     if args.verb == "rational":
-        value = Fraction(args.value)
+        try:
+            value = Fraction(args.value)
+        except ZeroDivisionError:
+            raise ValueError(f"rational value {args.value!r} has a zero denominator") from None
         orders = zeta.rational_orders(value)
         result = {
             "value": str(value),

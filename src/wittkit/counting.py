@@ -10,6 +10,7 @@ logs and sums add digits mod p.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -97,7 +98,15 @@ def count_points(X: AffineVariety, n: int, cap: int = DEFAULT_ENUM_CAP) -> int:
     """#X(F_{p^n}) by exhaustive enumeration of F_{p^n}^k."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    steps = X.p ** (X.nvars * n)
+    # p^e steps; far above the cap, refuse from its bit length and print
+    # it as a power, since the exact count can take seconds to build and
+    # more digits than str() converts
+    e = X.nvars * n
+    if e > (cap.bit_length() + 128) / math.log2(X.p):
+        raise ValueError(
+            f"enumeration needs {X.p}^{e} evaluation steps, above the cap {cap}"
+        )
+    steps = X.p**e
     if steps > cap:
         raise ValueError(
             f"enumeration needs {steps} evaluation steps, above the cap {cap}"

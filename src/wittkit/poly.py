@@ -4,6 +4,12 @@ Coefficients are stored ascending with trailing zeros trimmed; the zero
 polynomial has degree -1. Division and gcd follow the usual conventions:
 gcd is monic over a field, primitive with positive leading coefficient
 over Z.
+
+The gcd over Z is Brown's dense modular gcd: monic Euclid on plain-int
+residue lists modulo primes just below 2^61, combined by CRT and
+certified by exact trial division. An image of degree 0 proves the
+inputs coprime, which settles most calls after one prime. The gcd by
+primitive remainder sequences is kept in the tests, as its oracle.
 """
 
 from __future__ import annotations
@@ -214,21 +220,16 @@ class Polynomial:
         return Polynomial(ZZ, [a // c for a in self.coeffs])
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
-        """Monic gcd over a field; primitive, positive-leading over Z."""
+        """Monic gcd over a field; primitive, positive-leading over Z.
+
+        Over Z the contents are dropped first, so the result is the
+        primitive part of the gcd (1 for two nonzero constants); two zero
+        inputs give zero.
+        """
         self._check(other)
         R = self.ring
         if R == ZZ:
-            a, b = self.primitive(), other.primitive()
-            # primitive pseudo-remainder sequence: stays in Z, growth
-            # clamped by taking contents out at every step
-            while not b.is_zero():
-                r = a
-                lcb = b.leading()
-                while not r.is_zero() and r.degree >= b.degree:
-                    shift = r.degree - b.degree
-                    r = r.scale(lcb) - b.scale(r.leading()).shift(shift)
-                a, b = b, r.primitive()
-            return a.primitive()
+            return _gcd_zz(self.primitive(), other.primitive())
         if not R.is_field:
             raise ValueError(f"gcd unsupported over {R}")
         a, b = self, other
@@ -241,6 +242,118 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self.ring!r}, {list(self.coeffs)!r})"
+
+
+# Moduli of the Z[t] gcd: the primes just below 2^61, in descending order.
+_GCD_PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45, 2**61 - 229)
+
+
+def _is_prime_u64(n: int) -> bool:
+    """Miller-Rabin for odd 37 < n < 2^64; the first twelve prime bases
+    make it deterministic below 3.3 * 10^24."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _gcd_primes():
+    """_GCD_PRIMES, then every smaller prime in turn."""
+    yield from _GCD_PRIMES
+    n = _GCD_PRIMES[-1] - 2
+    while True:
+        if _is_prime_u64(n):
+            yield n
+        n -= 2
+
+
+def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd mod p of two residue lists, descending, leading terms nonzero.
+
+    Each long division reduces mod p only at the leading term and at the
+    end; in between the row entries are left unreduced.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        inv = pow(b[0], -1, p)
+        nb, tail = len(b), b[1:]
+        r = a[:]
+        for i in range(len(r) - nb + 1):
+            c = r[i] * inv % p
+            if c:
+                r[i + 1 : i + nb] = [x - c * y for x, y in zip(r[i + 1 : i + nb], tail)]
+        r = [x % p for x in r[len(r) - nb + 1 :]]
+        k = 0
+        while k < len(r) and not r[k]:
+            k += 1
+        if k == len(r):
+            return [x * inv % p for x in b]
+        a, b = b, r[k:]
+    return [1]
+
+
+def _gcd_zz(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Gcd of primitive, positive-leading a and b (Brown's modular gcd).
+
+    Primes dividing either leading coefficient are skipped, so an image
+    mod p has degree at least that of the true gcd g, with equality for
+    all but finitely many p: degree 0 proves g = 1, a higher degree marks
+    an unlucky prime and a lower one restarts the CRT. Images are scaled
+    to leading coefficient gcd(lc a, lc b), which lc(g) divides, and
+    combined into the symmetric range; once the combination stops
+    changing, its primitive part is returned if it divides a and b.
+    """
+    if a.is_zero():
+        return b
+    if b.is_zero():
+        return a
+    A, B = a.coeffs[::-1], b.coeffs[::-1]
+    ell = int_gcd(A[0], B[0])
+    G: list[int] = []
+    M = 1
+    for p in _gcd_primes():
+        if A[0] % p == 0 or B[0] % p == 0:
+            continue
+        g = _gcd_mod([c % p for c in A], [c % p for c in B], p)
+        if len(g) == 1:
+            return Polynomial(ZZ, [1])
+        if G and len(g) > len(G):
+            continue
+        image = [ell * c % p for c in g]
+        if not G or len(g) < len(G):
+            G, M = [c - p if 2 * c > p else c for c in image], p
+            continue
+        m_inv = pow(M, -1, p)
+        Mp = M * p
+        new = []
+        for x, y in zip(G, image):
+            z = x + M * ((y - x) * m_inv % p)
+            new.append(z - Mp if 2 * z > Mp else z)
+        if new == G:
+            h = Polynomial(ZZ, G[::-1]).primitive()
+            if _divides(h, a) and _divides(h, b):
+                return h
+        G, M = new, Mp
+
+
+def _divides(h: Polynomial, f: Polynomial) -> bool:
+    try:
+        f.exact_div(h)
+    except ValueError:
+        return False
+    return True
 
 
 def format_poly(p: Polynomial, var: str = "t") -> str:

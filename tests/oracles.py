@@ -16,7 +16,9 @@ constructions that the Newton power-sum routes in wittkit replace:
   by an exact Gauss-Jordan solve of the Toeplitz system instead of the
   extended Euclidean algorithm in wittkit.series;
 - adaptive_simpson and transform_simpson, a second integrator for the
-  Gauss-Legendre transforms in wittkit.explicit.
+  Gauss-Legendre transforms in wittkit.explicit;
+- gcd_prs_reference, the gcd over Z by the primitive pseudo-remainder
+  sequence instead of the modular gcd in wittkit.poly.
 """
 
 from __future__ import annotations
@@ -389,3 +391,18 @@ def transform_simpson(phi: TestFunction, alpha: complex, tol: float = 1e-12) -> 
                          * complex(math.cos(t * alpha_c.imag), math.sin(t * alpha_c.imag)),
                          a, b, tol=tol)
     )
+
+
+def gcd_prs_reference(self: Polynomial, other: Polynomial) -> Polynomial:
+    """Primitive, positive-leading gcd over Z by the primitive PRS."""
+    a, b = self.primitive(), other.primitive()
+    # primitive pseudo-remainder sequence: stays in Z, growth
+    # clamped by taking contents out at every step
+    while not b.is_zero():
+        r = a
+        lcb = b.leading()
+        while not r.is_zero() and r.degree >= b.degree:
+            shift = r.degree - b.degree
+            r = r.scale(lcb) - b.scale(r.leading()).shift(shift)
+        a, b = b, r.primitive()
+    return a.primitive()

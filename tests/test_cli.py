@@ -1,5 +1,6 @@
 import json
 import os
+import time
 from importlib import resources
 
 import jsonschema
@@ -175,6 +176,13 @@ def test_computation_error_messages(capsys):
     assert "not 1 mod 4" in err
 
 
+def test_zero_denominator_refused(capsys):
+    code, out, err = run_cli(capsys, ["product-formula", "rational", "1/0"])
+    assert code == 1
+    assert err == "wittkit: error: rational value '1/0' has a zero denominator\n"
+    assert out == ""
+
+
 def test_malformed_variety_file_refused(capsys, tmp_path):
     cases = [
         ({}, "missing field 'p'"),
@@ -194,6 +202,19 @@ def test_malformed_variety_file_refused(capsys, tmp_path):
             assert code == 1, data
             assert err.startswith("wittkit: error: ") and message in err, (data, err)
             assert out == ""
+
+
+def test_huge_enumeration_refused_up_front(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    for nvars in (10000, 10**7):
+        path.write_text(json.dumps({"p": 5, "vars": nvars, "equations": []}))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, ["zeta", "count", "--variety", str(path), "--n", "1"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert err == (f"wittkit: error: enumeration needs 5^{nvars} evaluation steps,"
+                       " above the cap 100000000\n")
+        assert out == ""
 
 
 def test_property_seed_env_override(monkeypatch):

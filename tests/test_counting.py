@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from oracles import field_mul_reference, field_pow_reference
@@ -96,6 +98,22 @@ def test_enumeration_cap():
     Y = AffineVariety.make(5, 2, [[(1, (1, 1))]])
     with pytest.raises(ValueError, match="above the cap"):
         count_points(Y, 2, cap=10)
+
+
+def test_enumeration_cap_message():
+    # near the cap the exact step count is printed
+    Y = AffineVariety.make(5, 2, [[(1, (1, 1))]])
+    with pytest.raises(ValueError, match="^enumeration needs 625 evaluation steps, above the cap 10$"):
+        count_points(Y, 2, cap=10)
+    X = AffineVariety.make(7, 2, [[(1, (1, 1))]])
+    with pytest.raises(ValueError, match="needs 79792266297612001 evaluation steps"):
+        count_points(X, 10)
+    # far above it, the count is p^e, refused without being built
+    Z = AffineVariety.make(5, 10**7, [])
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^enumeration needs 5\^10000000 evaluation steps, above the cap 100000000$"):
+        count_points(Z, 1)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_validation():

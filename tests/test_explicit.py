@@ -117,7 +117,7 @@ def test_zero_side_real_output():
     phi = TestFunction(1.5, 0.7)
     zeros = load_bundled_zeros()
     value = zero_side(phi, zeros, 25)
-    assert isinstance(value, float)
+    assert type(value) is float
 
 
 def test_defect_integrates_the_zero_side_once(monkeypatch):

@@ -2,13 +2,17 @@
 generated inputs. Each draw is seeded from property_seed(), so
 WITT_ORBIT_SEED replays a failing draw."""
 
+import itertools
 import random
 from fractions import Fraction
+
+import pytest
 
 from oracles import (
     count_irreducibles_by_enumeration,
     field_mul_reference,
     field_pow_reference,
+    gcd_prs_reference,
     ghost_via_series,
     is_irreducible_reference,
     pade_reconstruct_toeplitz,
@@ -34,7 +38,7 @@ from wittkit.finitefield import (
     smallest_irreducible,
 )
 from wittkit.parser import parse_witt
-from wittkit.poly import Polynomial
+from wittkit.poly import _GCD_PRIMES, Polynomial, _gcd_primes, _is_prime_u64
 from wittkit.rings import GF, QQ, ZZ
 from wittkit.series import (
     TruncatedPowerSeries,
@@ -229,3 +233,106 @@ def test_parser_round_trip():
             except (TypeError, ValueError):
                 pass
         assert parse_witt(str(w)) == want, w
+
+
+def random_zpoly(rng, max_degree, bits=40):
+    """Degree 0..max_degree, coefficients up to 2^bits, leading of either sign."""
+    bound = 2**bits
+    lead = rng.choice((-1, 1)) * rng.randint(1, bound)
+    return Polynomial(ZZ, [rng.randint(-bound, bound) for _ in range(rng.randint(0, max_degree))] + [lead])
+
+
+def planted_pair(rng, factors):
+    """(h * u, h * v) with h a product of `factors` random factors."""
+    h = Polynomial.one(ZZ)
+    for _ in range(factors):
+        h = h * random_zpoly(rng, 6)
+    return h * random_zpoly(rng, 6), h * random_zpoly(rng, 6)
+
+
+def test_gcd_matches_prs_on_planted_factors():
+    rng = random.Random(property_seed() + 18)
+    nontrivial = 0
+    for case in range(150):
+        a, b = planted_pair(rng, 1 + case % 3)
+        g = a.gcd(b)
+        assert repr(g) == repr(gcd_prs_reference(a, b)), (a, b)
+        nontrivial += g.degree > 0
+    assert nontrivial > 100  # the CRT and trial-division branch, not the degree-0 exit
+
+
+def test_gcd_matches_prs_on_coprime_pairs():
+    rng = random.Random(property_seed() + 19)
+    for _ in range(150):
+        a, b = planted_pair(rng, 0)
+        g = a.gcd(b)
+        assert repr(g) == repr(gcd_prs_reference(a, b)), (a, b)
+        assert g == Polynomial.one(ZZ), (a, b)
+
+
+def _c(n):
+    return Polynomial(ZZ, [n])
+
+
+def test_gcd_unlucky_primes_and_edge_cases():
+    rng = random.Random(property_seed() + 20)
+    P, P1 = _GCD_PRIMES[:2]
+    t, one, zero = Polynomial.t(ZZ), Polynomial.one(ZZ), Polynomial.zero(ZZ)
+    h = Polynomial(ZZ, [1])
+    while h.degree < 1:
+        h = random_zpoly(rng, 4).primitive()
+    cases = [
+        # unlucky at P: the image t (or t * h) has too high a degree
+        ((t + _c(P), t), one),
+        (((t + _c(P)) * h, t * h), h),
+        # unlucky at P (P1 restarts on the lower degree), and unlucky at P1
+        # after a good P (P1 is skipped); neither wrong image is a prefix
+        # of the right one, so truncating it would not pass by luck
+        (((t + _c(1 + P)) * h, (t + one) * h), h),
+        (((t + _c(1 + P1)) * h, (t + one) * h), h),
+        # unlucky at P and P1 with equal images, so the CRT settles on a
+        # wrong answer that only the trial division rejects
+        ((t + _c(P * P1), t), one),
+        (((t + _c(P * P1)) * h, t * h), h),
+        # leading coefficient divisible by P: skipping P is what stops its
+        # image h, of too low a degree, from looking like the best one
+        ((h * (_c(P) * t + one), h * (_c(P) * t + one) * (t + _c(2))), h * (_c(P) * t + one)),
+        ((zero, zero), zero),
+        ((zero, -_c(6) * t - _c(4)), _c(3) * t + _c(2)),
+        ((-_c(6) * t - _c(4), zero), _c(3) * t + _c(2)),
+        ((_c(6), _c(4)), one),
+        ((_c(-5), zero), one),
+        ((_c(-5), t), one),
+        ((-h * (t + one), -h * (t - one)), h),
+        ((-(_c(2) * h), _c(4) * h * t), h),
+    ]
+    for (a, b), want in cases:
+        for x, y in ((a, b), (b, a)):
+            got = x.gcd(y)
+            assert repr(got) == repr(want), (x, y, got)
+            assert repr(got) == repr(gcd_prs_reference(x, y)), (x, y)
+
+
+def test_gcd_primes_are_primes():
+    sympy = pytest.importorskip("sympy")
+    primes = list(itertools.islice(_gcd_primes(), 40))
+    assert primes[: len(_GCD_PRIMES)] == list(_GCD_PRIMES)
+    assert primes[0] == sympy.prevprime(2**61)
+    for p, q in zip(primes, primes[1:]):
+        assert sympy.isprime(q) and q == sympy.prevprime(p), (p, q)
+    rng = random.Random(property_seed() + 21)
+    # strong pseudoprimes to the bases up to 7 and up to 23
+    odd = [3215031751, 3825123056546413051] + [rng.randrange(2**40, 2**64) | 1 for _ in range(500)]
+    for n in odd:
+        assert _is_prime_u64(n) == sympy.isprime(n), n
+
+
+def test_gcd_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(property_seed() + 22)
+    for case in range(60):
+        a, b = planted_pair(rng, case % 3)
+        g = sympy.Poly(a.coeffs[::-1], x, domain="ZZ").gcd(sympy.Poly(b.coeffs[::-1], x, domain="ZZ"))
+        want = [int(c) for c in g.primitive()[1].all_coeffs()[::-1]]
+        assert a.gcd(b) == Polynomial(ZZ, want), (a, b)
