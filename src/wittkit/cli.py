@@ -4,7 +4,9 @@ Subcommands: witt, zeta, orbits, explicit-formula, linking, redei,
 product-formula. Every run echoes its resolved configuration; output
 goes to stdout or --out. Formats: plain (default), json (validates
 against schemas/cli_output.schema.json), csv (tabular results only).
-Exit codes: 0 success, 1 computation error, 2 usage error.
+Exit codes: 0 success, 1 computation error, 2 usage error. The
+argparse tree is built once per process (`build_parser` is cached) and
+reused by every `main` call; parsing keeps no state between calls.
 
 Identical invocations produce byte-identical output: no timestamps,
 sorted JSON keys, fixed summation orders in the underlying modules.
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -223,6 +226,7 @@ def _run_product_formula(args) -> tuple:
     return result, [f"weighted order sum = {total}"], None
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="wittkit",

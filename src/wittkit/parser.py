@@ -7,9 +7,10 @@ Grammar, with ordinary precedence and parenthesization:
     factor := atom ["^" ["-"] integer]
     atom   := integer | "t" | "(" expr ")"
 
-Integer literals combined with "/" give a/b rationals. The parsed
-rational function must have constant term 1; integral results come back
-over Z, anything else over Q.
+The expression is evaluated over Z, so a literal a/b stays the pair
+(a, b), and the result has one canonicalization, WittVector over Z. It
+must have constant term 1. Q is used only when Z refuses: a result that
+is not integral, such as (2 - t)/2, comes back over Q.
 """
 
 from __future__ import annotations
@@ -67,12 +68,12 @@ class _Tokens:
         return t
 
 
-# rational functions as (num, den) pairs over Q; reduction waits for the end
+# rational functions as (num, den) pairs over Z; reduction waits for the end
 _RF = tuple[Polynomial, Polynomial]
 
 
 def _one() -> Polynomial:
-    return Polynomial.one(QQ)
+    return Polynomial.one(ZZ)
 
 
 def _rf_add(a: _RF, b: _RF) -> _RF:
@@ -148,9 +149,9 @@ def _parse_factor(toks: _Tokens) -> _RF:
 def _parse_atom(toks: _Tokens) -> _RF:
     kind, value, pos = toks.advance()
     if kind == "int":
-        return (Polynomial(QQ, [value]), _one())
+        return (Polynomial(ZZ, [value]), _one())
     if kind == "t":
-        return (Polynomial.t(QQ), _one())
+        return (Polynomial.t(ZZ), _one())
     if kind == "(":
         inner = _parse_expr(toks)
         close, _, cpos = toks.advance()
@@ -163,14 +164,13 @@ def _parse_atom(toks: _Tokens) -> _RF:
 
 
 def parse_witt(expr: str) -> WittVector:
-    """Parse and canonicalize; integral results are returned over Z."""
+    """Parse and canonicalize over Z; non-integral results come back over Q."""
     toks = _Tokens(expr)
     num, den = _parse_expr(toks)
     kind, _, pos = toks.peek()
     if kind != "end":
         raise ParseError(f"unexpected {kind!r}", pos)
-    w = WittVector(num, den)
     try:
-        return w.map_ring(ZZ)
-    except (TypeError, ValueError):
-        return w
+        return WittVector(num, den)
+    except ValueError:  # not integral, or not a Witt vector: Q decides
+        return WittVector(num.map_ring(QQ), den.map_ring(QQ))

@@ -18,7 +18,10 @@ constructions that the Newton power-sum routes in wittkit replace:
 - adaptive_simpson and transform_simpson, a second integrator for the
   Gauss-Legendre transforms in wittkit.explicit;
 - gcd_prs_reference, the gcd over Z by the primitive pseudo-remainder
-  sequence instead of the modular gcd in wittkit.poly.
+  sequence instead of the modular gcd in wittkit.poly;
+- parse_witt_reference, the expression parser evaluated over Q with
+  Fraction coefficients and mapped to Z afterwards, instead of the
+  evaluation over Z in wittkit.parser.
 """
 
 from __future__ import annotations
@@ -30,8 +33,9 @@ from typing import NamedTuple, Sequence
 from wittkit.explicit import TestFunction
 from wittkit.finitefield import _is_irreducible
 from wittkit.ntheory import factorize
+from wittkit.parser import ParseError, _Tokens
 from wittkit.poly import Polynomial
-from wittkit.rings import GF, QQ, Ring
+from wittkit.rings import GF, QQ, ZZ, Ring
 from wittkit.series import TruncatedPowerSeries, series_of_rational
 from wittkit.witt import WittVector
 
@@ -406,3 +410,112 @@ def gcd_prs_reference(self: Polynomial, other: Polynomial) -> Polynomial:
             r = r.scale(lcb) - b.scale(r.leading()).shift(shift)
         a, b = b, r.primitive()
     return a.primitive()
+
+
+# rational functions as (num, den) pairs over Q; reduction waits for the end
+_RF = tuple[Polynomial, Polynomial]
+
+
+def _one() -> Polynomial:
+    return Polynomial.one(QQ)
+
+
+def _rf_add(a: _RF, b: _RF) -> _RF:
+    return (a[0] * b[1] + b[0] * a[1], a[1] * b[1])
+
+
+def _rf_neg(a: _RF) -> _RF:
+    return (-a[0], a[1])
+
+
+def _rf_mul(a: _RF, b: _RF) -> _RF:
+    return (a[0] * b[0], a[1] * b[1])
+
+
+def _rf_div(a: _RF, b: _RF, pos: int) -> _RF:
+    if b[0].is_zero():
+        raise ParseError("division by zero", pos)
+    return (a[0] * b[1], a[1] * b[0])
+
+
+def _rf_pow(a: _RF, e: int, pos: int) -> _RF:
+    if e < 0:
+        return _rf_pow(_rf_div((_one(), _one()), a, pos), -e, pos)
+    num, den = _one(), _one()
+    for _ in range(e):
+        num, den = num * a[0], den * a[1]
+    return (num, den)
+
+
+def _parse_expr(toks: _Tokens) -> _RF:
+    sign = 1
+    if toks.peek()[0] in ("+", "-"):
+        sign = -1 if toks.advance()[0] == "-" else 1
+    acc = _parse_term(toks)
+    if sign < 0:
+        acc = _rf_neg(acc)
+    while toks.peek()[0] in ("+", "-"):
+        op = toks.advance()[0]
+        rhs = _parse_term(toks)
+        acc = _rf_add(acc, _rf_neg(rhs) if op == "-" else rhs)
+    return acc
+
+
+def _parse_term(toks: _Tokens) -> _RF:
+    acc = _parse_factor(toks)
+    while True:
+        kind, _, pos = toks.peek()
+        if kind in ("*", "/"):
+            toks.advance()
+            rhs = _parse_factor(toks)
+            acc = _rf_mul(acc, rhs) if kind == "*" else _rf_div(acc, rhs, pos)
+        elif kind in ("int", "t", "("):
+            acc = _rf_mul(acc, _parse_factor(toks))
+        else:
+            return acc
+
+
+def _parse_factor(toks: _Tokens) -> _RF:
+    acc = _parse_atom(toks)
+    while toks.peek()[0] == "^":
+        _, _, pos = toks.advance()
+        sign = 1
+        if toks.peek()[0] == "-":
+            toks.advance()
+            sign = -1
+        kind, value, vpos = toks.advance()
+        if kind != "int":
+            raise ParseError(f"expected integer exponent, found {kind!r}", vpos)
+        acc = _rf_pow(acc, sign * value, pos)
+    return acc
+
+
+def _parse_atom(toks: _Tokens) -> _RF:
+    kind, value, pos = toks.advance()
+    if kind == "int":
+        return (Polynomial(QQ, [value]), _one())
+    if kind == "t":
+        return (Polynomial.t(QQ), _one())
+    if kind == "(":
+        inner = _parse_expr(toks)
+        close, _, cpos = toks.advance()
+        if close != ")":
+            raise ParseError(f"expected ')', found {close!r}", cpos)
+        return inner
+    if kind == "-":
+        return _rf_neg(_parse_factor(toks))
+    raise ParseError(f"expected integer, 't' or '(', found {kind!r}", pos)
+
+
+def parse_witt_reference(expr: str) -> WittVector:
+    """Parse and canonicalize; integral results are returned over Z."""
+    toks = _Tokens(expr)
+    num, den = _parse_expr(toks)
+    kind, _, pos = toks.peek()
+    if kind != "end":
+        raise ParseError(f"unexpected {kind!r}", pos)
+    w = WittVector(num, den)
+    try:
+        return w.map_ring(ZZ)
+    except (TypeError, ValueError):
+        return w

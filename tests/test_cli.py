@@ -6,6 +6,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from wittkit import cli
 from wittkit.cli import main
 from wittkit.util import DEFAULT_PROPERTY_SEED, property_seed
 
@@ -15,7 +16,10 @@ SCHEMA = json.loads(
 
 
 def run_cli(capsys, argv):
-    code = main(argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # usage errors
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -69,6 +73,30 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_cached_parser_keeps_no_state_between_calls(capsys, monkeypatch):
+    assert cli.build_parser.cache_info().maxsize == 1
+    assert cli.build_parser() is cli.build_parser()
+    sequence = [
+        ["witt", "ghost", "1-2t", "--order", "5"],
+        ["witt", "ghost", "1-2t"],  # default order 8
+        ["orbits", "packet", "3", "4"],  # default json
+        ["witt", "mul", "(1-t)", "(1-2t)", "--bogus"],  # usage error, exit 2
+        ["witt", "parse", "1-3t"],  # default plain
+        ["witt", "ghost", "1-2t", "--order", "5", "--format", "json"],
+        ["witt", "ghost", "1-2t"],
+    ]
+    results = [run_cli(capsys, argv) for argv in sequence]
+    assert [r[0] for r in results] == [0, 0, 0, 2, 0, 0, 0]
+    build_uncached = cli.build_parser.__wrapped__
+    for argv, got in zip(sequence, results):  # each against a freshly built tree
+        fresh = build_uncached()
+        monkeypatch.setattr(cli, "build_parser", lambda: fresh)
+        assert run_cli(capsys, argv) == got, argv
+    assert [len(results[i][1].splitlines()[-1].split()) for i in (0, 1)] == [5, 8]
+    assert json.loads(results[2][1])["config"]["format"] == "json"
+    assert results[4][1].startswith("# wittkit witt parse\n# config: format=plain")
 
 
 def test_csv_only_for_tabular(capsys):

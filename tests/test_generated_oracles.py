@@ -16,6 +16,7 @@ from oracles import (
     ghost_via_series,
     is_irreducible_reference,
     pade_reconstruct_toeplitz,
+    parse_witt_reference,
     transform_simpson,
 )
 from wittkit.cli import main
@@ -37,7 +38,7 @@ from wittkit.finitefield import (
     monic_polys,
     smallest_irreducible,
 )
-from wittkit.parser import parse_witt
+from wittkit.parser import ParseError, parse_witt
 from wittkit.poly import _GCD_PRIMES, Polynomial, _gcd_primes, _is_prime_u64
 from wittkit.rings import GF, QQ, ZZ
 from wittkit.series import (
@@ -233,6 +234,55 @@ def test_parser_round_trip():
             except (TypeError, ValueError):
                 pass
         assert parse_witt(str(w)) == want, w
+
+
+def random_expr_atom(rng, depth):
+    r = rng.random()
+    if depth > 1 or r < 0.45:
+        return rng.choice(["1", "2", "3", "0", "t", "2t", "1/2", "3/4", "12/8", "t/t"])
+    if r < 0.6:
+        return f"(1{rng.choice('-+')}{random_expr(rng, depth + 1)})"
+    if r < 0.75:
+        exp = rng.choice(["2", "-1", "-2", "0"])
+        return f"({random_expr(rng, depth + 1)})^{exp}"
+    return rng.choice(["(t-t)", "t^-1", "0t", f"({random_expr(rng, depth + 1)})"])
+
+
+def random_expr(rng, depth=0):
+    """Rational literals, negative exponents, t/t and zero subterms."""
+    text = random_expr_atom(rng, depth)
+    for _ in range(rng.randint(0, 2)):
+        text += rng.choice(["+", "-", "*", "/", " "]) + random_expr_atom(rng, depth)
+    return text
+
+
+# Witt vectors over Z or Q when the subterm has no pole at 0, refusals otherwise
+EXPR_SHAPES = ["1-t({})", "(2-t({}))/(2+t)", "1/2+1/2-t({})", "(1-t)^-2(1+t({}))", "{}"]
+
+
+def _parse_outcome(route, text):
+    try:
+        w = route(text)
+    except ParseError as exc:
+        return "ParseError", str(exc), exc.pos
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    return w.ring.name, w.num.coeffs, w.den.coeffs, [type(c) for c in w.num.coeffs]
+
+
+def test_parser_matches_q_route():
+    rng = random.Random(property_seed() + 23)
+    fixed = ["1/2 - t", "(2-t)/2", "(1-t)^-2", "t/t", "1 + 0t - 0", "1/(t-t)",
+             "2-t", "(2-4t)/(2+2t)", "(3-t)/(3+t)", "1 + t^-1", "0", "(1-2t)/(1-2t)^2"]
+    seen = set()
+    for case in range(1200):
+        text = fixed[case] if case < len(fixed) else rng.choice(
+            EXPR_SHAPES).format(random_expr(rng))
+        got = _parse_outcome(parse_witt, text)
+        assert got == _parse_outcome(parse_witt_reference, text), text
+        seen.add(got[1].split(" at position")[0] if got[0].endswith("Error") else got[0])
+    # the Z result, the Q fallback and each refusal are all exercised
+    assert {"Z", "Q", "division by zero", "not a Witt vector: f(0) != 1"} <= seen, seen
 
 
 def random_zpoly(rng, max_degree, bits=40):
