@@ -214,8 +214,8 @@ def _run_product_formula(args) -> tuple:
     from .poly import Polynomial
 
     ring = GF(args.p)
-    num = Polynomial(ring, [ring.coerce(c) for c in _parse_coeff_list(args.num)])
-    den = Polynomial(ring, [ring.coerce(c) for c in _parse_coeff_list(args.den)])
+    num = Polynomial(ring, _parse_coeff_list(args.num))
+    den = Polynomial(ring, _parse_coeff_list(args.den))
     total = zeta.function_field_product_formula(num, den)
     result = {
         "p": args.p,

@@ -1,21 +1,25 @@
 """Dense univariate polynomials over a ring descriptor.
 
-Coefficients are stored ascending with trailing zeros trimmed; the zero
-polynomial has degree -1. Division and gcd follow the usual conventions:
+Coefficients are plain numbers (int over Z and F_p, Fraction over Q),
+stored ascending with trailing zeros trimmed; the zero polynomial has
+degree -1. Arithmetic uses Python's operators, and the constructor
+normalises every coefficient through the ring's coerce, which is where
+F_p reduces mod p. Division and gcd follow the usual conventions:
 gcd is monic over a field, primitive with positive leading coefficient
 over Z.
 
-The gcd over Z is Brown's dense modular gcd: monic Euclid on plain-int
-residue lists modulo primes just below 2^61, combined by CRT and
-certified by exact trial division. An image of degree 0 proves the
-inputs coprime, which settles most calls after one prime. The gcd by
-primitive remainder sequences is kept in the tests, as its oracle.
+The gcd over Z, and through it the gcd over Q, is Brown's dense modular
+gcd: monic Euclid on plain-int residue lists modulo primes just below
+2^61, combined by CRT and certified by exact trial division. An image
+of degree 0 proves the inputs coprime, which settles most calls after
+one prime. The gcd by primitive remainder sequences is kept in the
+tests, as its oracle.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd as int_gcd
+from itertools import zip_longest
+from math import gcd as int_gcd, lcm
 from typing import Sequence
 
 from .rings import QQ, ZZ, Ring
@@ -26,7 +30,7 @@ class Polynomial:
 
     def __init__(self, ring: Ring, coeffs: Sequence):
         cs = [ring.coerce(c) for c in coeffs]
-        while cs and ring.is_zero(cs[-1]):
+        while cs and not cs[-1]:
             cs.pop()
         self.ring = ring
         self.coeffs = tuple(cs)
@@ -53,7 +57,7 @@ class Polynomial:
     def __getitem__(self, n: int):
         if 0 <= n < len(self.coeffs):
             return self.coeffs[n]
-        return self.ring.zero
+        return self.ring.coerce(0)
 
     def leading(self):
         if not self.coeffs:
@@ -77,12 +81,11 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        R = self.ring
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(R, [R.add(self[i], other[i]) for i in range(n)])
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return Polynomial(self.ring, [a + b for a, b in pairs])
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.ring, [self.ring.neg(c) for c in self.coeffs])
+        return Polynomial(self.ring, [-c for c in self.coeffs])
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -92,38 +95,23 @@ class Polynomial:
         R = self.ring
         if self.is_zero() or other.is_zero():
             return Polynomial.zero(R)
-        out = [R.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if R.is_zero(a):
+            if not a:
                 continue
             for j, b in enumerate(other.coeffs):
-                out[i + j] = R.add(out[i + j], R.mul(a, b))
+                out[i + j] += a * b
         return Polynomial(R, out)
 
     def scale(self, c) -> "Polynomial":
-        R = self.ring
-        c = R.coerce(c)
-        return Polynomial(R, [R.mul(c, a) for a in self.coeffs])
+        c = self.ring.coerce(c)
+        return Polynomial(self.ring, [c * a for a in self.coeffs])
 
     def shift(self, k: int) -> "Polynomial":
         """Multiply by t^k."""
         if self.is_zero():
             return self
-        return Polynomial(self.ring, [self.ring.zero] * k + list(self.coeffs))
-
-    def evaluate(self, x):
-        R = self.ring
-        x = R.coerce(x)
-        acc = R.zero
-        for c in reversed(self.coeffs):
-            acc = R.add(R.mul(acc, x), c)
-        return acc
-
-    def derivative(self) -> "Polynomial":
-        R = self.ring
-        return Polynomial(
-            R, [R.mul(R.from_int(i), c) for i, c in enumerate(self.coeffs)][1:]
-        )
+        return Polynomial(self.ring, [0] * k + list(self.coeffs))
 
     def reversal(self, degree: int | None = None) -> "Polynomial":
         """t^d * p(1/t) for d = degree (defaults to deg p)."""
@@ -132,10 +120,8 @@ class Polynomial:
             raise ValueError("reversal degree below polynomial degree")
         return Polynomial(self.ring, [self[d - i] for i in range(d + 1)])
 
-    def map_ring(self, ring: Ring, convert=None) -> "Polynomial":
-        if convert is None:
-            convert = ring.coerce
-        return Polynomial(ring, [convert(c) for c in self.coeffs])
+    def map_ring(self, ring: Ring) -> "Polynomial":
+        return Polynomial(ring, self.coeffs)
 
     def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         """Quotient and remainder; divisor leading coefficient must be a unit."""
@@ -148,14 +134,14 @@ class Polynomial:
         dq = len(self.coeffs) - len(other.coeffs)
         if dq < 0:
             return Polynomial.zero(R), self
-        quot = [R.zero] * (dq + 1)
+        quot = [0] * (dq + 1)
         for i in range(dq, -1, -1):
-            c = R.mul(rem[i + other.degree], lead_inv)
-            if R.is_zero(c):
+            c = R.coerce(rem[i + other.degree] * lead_inv)
+            if not c:
                 continue
             quot[i] = c
             for j, b in enumerate(other.coeffs):
-                rem[i + j] = R.sub(rem[i + j], R.mul(c, b))
+                rem[i + j] -= c * b
         return Polynomial(R, quot), Polynomial(R, rem)
 
     def __floordiv__(self, other: "Polynomial") -> "Polynomial":
@@ -182,18 +168,18 @@ class Polynomial:
             raise ValueError("inexact division")
         rem = list(self.coeffs)
         lead = other.leading()
-        quot = [R.zero] * (dq + 1)
+        quot = [0] * (dq + 1)
         for i in range(dq, -1, -1):
             try:
                 c = R.div(rem[i + other.degree], lead)
             except ValueError:
                 raise ValueError("inexact division") from None
-            if R.is_zero(c):
+            if not c:
                 continue
             quot[i] = c
             for j, b in enumerate(other.coeffs):
-                rem[i + j] = R.sub(rem[i + j], R.mul(c, b))
-        if any(not R.is_zero(x) for x in rem):
+                rem[i + j] -= c * b
+        if any(map(R.coerce, rem)):
             raise ValueError("inexact division")
         return Polynomial(R, quot)
 
@@ -224,12 +210,16 @@ class Polynomial:
 
         Over Z the contents are dropped first, so the result is the
         primitive part of the gcd (1 for two nonzero constants); two zero
-        inputs give zero.
+        inputs give zero. Over Q it is the Z gcd of the primitive integer
+        multiples, made monic (Gauss's lemma), which avoids the
+        coefficient growth of Euclid over Q.
         """
         self._check(other)
         R = self.ring
         if R == ZZ:
             return _gcd_zz(self.primitive(), other.primitive())
+        if R == QQ:
+            return _gcd_zz(_integral(self), _integral(other)).map_ring(QQ).monic()
         if not R.is_field:
             raise ValueError(f"gcd unsupported over {R}")
         a, b = self, other
@@ -348,6 +338,12 @@ def _gcd_zz(a: Polynomial, b: Polynomial) -> Polynomial:
         G, M = new, Mp
 
 
+def _integral(p: Polynomial) -> Polynomial:
+    """The primitive integer multiple of a polynomial over Q."""
+    den = lcm(*(c.denominator for c in p.coeffs))
+    return Polynomial(ZZ, [c * den for c in p.coeffs]).primitive()
+
+
 def _divides(h: Polynomial, f: Polynomial) -> bool:
     try:
         f.exact_div(h)
@@ -358,14 +354,13 @@ def _divides(h: Polynomial, f: Polynomial) -> bool:
 
 def format_poly(p: Polynomial, var: str = "t") -> str:
     """Human form, ascending powers: '1 - 5t + 6t^2'."""
-    R = p.ring
     if p.is_zero():
         return "0"
     parts: list[str] = []
     for i, c in enumerate(p.coeffs):
-        if R.is_zero(c):
+        if not c:
             continue
-        text = R.format(c)
+        text = str(c)
         neg = text.startswith("-")
         mag = text[1:] if neg else text
         if i == 0:
@@ -379,23 +374,3 @@ def format_poly(p: Polynomial, var: str = "t") -> str:
             parts.append(f"- {body}" if neg else f"+ {body}")
     return " ".join(parts)
 
-
-def poly_from_roots(ring: Ring, roots: Sequence) -> Polynomial:
-    """prod (t - r)."""
-    acc = Polynomial.one(ring)
-    for r in roots:
-        acc = acc * Polynomial(ring, [ring.neg(ring.coerce(r)), ring.one])
-    return acc
-
-
-def lift_to_z(p: Polynomial) -> Polynomial:
-    """Clear denominators of a Q-polynomial and make it primitive."""
-    if p.ring == ZZ:
-        return p
-    if p.ring != QQ:
-        raise ValueError("lift_to_z expects a polynomial over Q or Z")
-    den = 1
-    for c in p.coeffs:
-        c = Fraction(c)
-        den = den * c.denominator // int_gcd(den, c.denominator)
-    return Polynomial(ZZ, [int(Fraction(c) * den) for c in p.coeffs]).primitive()

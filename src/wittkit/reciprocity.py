@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ntheory import is_prime, sqrt_mod_prime
+from .ntheory import is_prime, primes_upto, sqrt_mod_prime
 
 REDEI_SEARCH_START = 64
 REDEI_SEARCH_CAP = 2**20
@@ -63,7 +63,7 @@ def linking_table(bound: int) -> list[LinkingEntry]:
     order, each with its verified relation."""
     if bound < 5:
         raise ValueError("bound must be >= 5")
-    odd_primes = [p for p in range(3, bound) if is_prime(p)]
+    odd_primes = primes_upto(bound - 1)[1:]  # drop 2
     return [
         reciprocity_check(p, l) for p in odd_primes for l in odd_primes if p != l
     ]
@@ -155,7 +155,7 @@ def redei_symbol(p: int, l: int, q: int, *, details: bool = False):
 def redei_scan(limit: int, want: int | None = None, max_triples: int | None = None):
     """Admissible triples with p < l < q < limit and their symbols;
     optionally only those with a given symbol value."""
-    primes = [v for v in range(5, limit) if is_prime(v) and v % 4 == 1]
+    primes = [v for v in primes_upto(limit - 1) if v % 4 == 1]
     out = []
     for i, p in enumerate(primes):
         for j in range(i + 1, len(primes)):

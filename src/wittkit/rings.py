@@ -1,9 +1,13 @@
 """Coefficient rings used throughout: Z, Q, and prime fields F_p.
 
-A ring is a small descriptor object exposing arithmetic on opaque element
-values. Z uses Python ints, Q uses fractions.Fraction, F_p uses ints
-reduced to [0, p). Polynomials and Witt vectors call through the
-descriptor so the same code runs over any of them.
+Ring elements are plain Python numbers, combined with Python's
+operators: ints over Z, fractions.Fraction over Q, ints over F_p. A
+ring is a small descriptor that only normalises, divides and
+serialises: coerce gives the canonical form (over F_p the one place an
+int is reduced to [0, p)), div and inv divide with each ring's meaning,
+and to_json and the name tag serialise. Polynomials and Witt vectors
+accumulate with operators and coerce each result coefficient once, so
+the same code runs over any of the rings.
 """
 
 from __future__ import annotations
@@ -15,59 +19,24 @@ from .ntheory import is_prime
 
 
 class Ring:
-    """Base descriptor. Subclasses fill in the element operations."""
+    """Base descriptor: normalise, divide, serialise."""
 
     name: str
     is_field: bool
     characteristic: int
 
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def inv(self, a):
+    def coerce(self, x):
+        """Canonical form of an element-like value (int always allowed), or fail."""
         raise NotImplementedError
 
     def div(self, a, b):
         raise NotImplementedError
 
-    def from_int(self, n: int):
-        raise NotImplementedError
-
-    @property
-    def zero(self):
-        return self.from_int(0)
-
-    @property
-    def one(self):
-        return self.from_int(1)
-
-    def eq(self, a, b) -> bool:
-        return a == b
-
-    def is_zero(self, a) -> bool:
-        return self.eq(a, self.zero)
-
-    def coerce(self, x):
-        """Accept an element-like value (int always allowed) or fail."""
+    def inv(self, a):
         raise NotImplementedError
 
     def to_json(self, a):
         return a
-
-    def from_json(self, x):
-        return self.coerce(x)
-
-    def format(self, a) -> str:
-        return str(a)
 
     def __repr__(self):
         return self.name
@@ -84,15 +53,6 @@ class IntegerRing(Ring):
     is_field = False
     characteristic = 0
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
     def div(self, a, b):
         """Exact division; raises on a non-integral quotient."""
         if b == 0:
@@ -107,9 +67,6 @@ class IntegerRing(Ring):
             return a
         raise ValueError(f"{a} is not a unit in Z")
 
-    def from_int(self, n: int):
-        return n
-
     def coerce(self, x):
         if isinstance(x, bool) or not isinstance(x, int):
             if isinstance(x, Fraction) and x.denominator == 1:
@@ -123,34 +80,20 @@ class RationalField(Ring):
     is_field = True
     characteristic = 0
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
     def div(self, a, b):
         if b == 0:
             raise ZeroDivisionError("division by zero in Q")
-        return a / b
+        return Fraction(a) / b
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("0 is not invertible")
         return 1 / Fraction(a)
 
-    def from_int(self, n: int):
-        return Fraction(n)
-
     def coerce(self, x):
         if isinstance(x, bool):
             raise TypeError(f"not a rational: {x!r}")
-        if isinstance(x, (int, Fraction)):
-            return Fraction(x)
-        if isinstance(x, str):
+        if isinstance(x, (int, Fraction, str)):
             return Fraction(x)
         raise TypeError(f"not a rational: {x!r}")
 
@@ -158,9 +101,6 @@ class RationalField(Ring):
         if a.denominator == 1:
             return int(a)
         return f"{a.numerator}/{a.denominator}"
-
-    def format(self, a) -> str:
-        return str(a)
 
 
 class PrimeField(Ring):
@@ -173,30 +113,18 @@ class PrimeField(Ring):
         self.characteristic = p
         self.name = f"Fp:{p}"
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError(f"0 is not invertible in F_{self.p}")
         return pow(a, -1, self.p)
 
     def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def from_int(self, n: int):
-        return n % self.p
+        return a * self.inv(b) % self.p
 
     def coerce(self, x):
         if isinstance(x, bool) or not isinstance(x, int):
             if isinstance(x, Fraction):
-                return self.div(self.from_int(x.numerator), self.from_int(x.denominator))
+                return self.div(x.numerator, x.denominator)
             raise TypeError(f"not an element of F_{self.p}: {x!r}")
         return x % self.p
 

@@ -1,6 +1,8 @@
 """Truncated power series with exact coefficients.
 
-A series carries coefficients for orders 0..N. Arithmetic truncates to
+A series carries coefficients for orders 0..N. Like Polynomial, it holds
+plain numbers, combines them with Python's operators and normalises each
+result coefficient through the ring's coerce. Arithmetic truncates to
 the smaller order of the operands. exp and log are restricted to Q,
 which is where they are needed (ghost reconstruction, zeta expansion).
 
@@ -30,7 +32,7 @@ class TruncatedPowerSeries:
         if order is not None:
             if order < 0:
                 raise ValueError("order must be >= 0")
-            cs = cs[: order + 1] + [ring.zero] * (order + 1 - len(cs))
+            cs = cs[: order + 1] + [ring.coerce(0)] * (order + 1 - len(cs))
         elif not cs:
             raise ValueError("empty series needs an explicit order")
         self.ring = ring
@@ -64,35 +66,29 @@ class TruncatedPowerSeries:
         return min(self.order, other.order)
 
     def __add__(self, other: "TruncatedPowerSeries") -> "TruncatedPowerSeries":
-        N = self._join(other)
-        R = self.ring
-        return TruncatedPowerSeries(
-            R, [R.add(self.coeffs[i], other.coeffs[i]) for i in range(N + 1)]
-        )
+        self._join(other)  # zip stops at the smaller order
+        return TruncatedPowerSeries(self.ring, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self) -> "TruncatedPowerSeries":
-        R = self.ring
-        return TruncatedPowerSeries(R, [R.neg(c) for c in self.coeffs])
+        return TruncatedPowerSeries(self.ring, [-c for c in self.coeffs])
 
     def __sub__(self, other: "TruncatedPowerSeries") -> "TruncatedPowerSeries":
         return self + (-other)
 
     def __mul__(self, other: "TruncatedPowerSeries") -> "TruncatedPowerSeries":
         N = self._join(other)
-        R = self.ring
-        out = [R.zero] * (N + 1)
+        out = [0] * (N + 1)
         for i in range(N + 1):
             a = self.coeffs[i]
-            if R.is_zero(a):
+            if not a:
                 continue
             for j in range(N + 1 - i):
-                out[i + j] = R.add(out[i + j], R.mul(a, other.coeffs[j]))
-        return TruncatedPowerSeries(R, out)
+                out[i + j] += a * other.coeffs[j]
+        return TruncatedPowerSeries(self.ring, out)
 
     def scale(self, c) -> "TruncatedPowerSeries":
-        R = self.ring
-        c = R.coerce(c)
-        return TruncatedPowerSeries(R, [R.mul(c, a) for a in self.coeffs])
+        c = self.ring.coerce(c)
+        return TruncatedPowerSeries(self.ring, [c * a for a in self.coeffs])
 
     def __str__(self):
         from .poly import format_poly
@@ -110,14 +106,13 @@ def series_of_rational(num: Polynomial, den: Polynomial, order: int) -> Truncate
     if num.ring != den.ring:
         raise ValueError("ring mismatch")
     R = num.ring
-    d0 = den.constant()
-    inv = R.inv(d0)
+    inv = R.inv(den.constant())
     out = []
     for n in range(order + 1):
         acc = num[n]
         for k in range(1, min(n, den.degree) + 1):
-            acc = R.sub(acc, R.mul(den[k], out[n - k]))
-        out.append(R.mul(inv, acc))
+            acc -= den[k] * out[n - k]
+        out.append(R.coerce(inv * acc))
     return TruncatedPowerSeries(R, out)
 
 
@@ -131,10 +126,10 @@ def power_sums(P: Polynomial, m: int) -> list:
     R = P.ring
     out: list = []
     for n in range(1, m + 1):
-        acc = R.mul(R.from_int(-n), P[n])
+        acc = -n * P[n]
         for k in range(max(1, n - P.degree), n):  # P[n - k] = 0 for smaller k
-            acc = R.sub(acc, R.mul(out[k - 1], P[n - k]))
-        out.append(acc)
+            acc -= out[k - 1] * P[n - k]
+        out.append(R.coerce(acc))
     return out
 
 
@@ -142,12 +137,12 @@ def poly_from_power_sums(ring: Ring, sums: Sequence, degree: int) -> Polynomial:
     """Inverse of power_sums, to the given degree; the divisions by n are
     exact for genuine power-sum data (over Z they recover integer
     determinant coefficients)."""
-    c: list = [ring.one]
+    c: list = [ring.coerce(1)]
     for n in range(1, degree + 1):
         acc = sums[n - 1]
         for k in range(1, n):
-            acc = ring.add(acc, ring.mul(sums[k - 1], c[n - k]))
-        c.append(ring.div(ring.neg(acc), ring.from_int(n)))
+            acc += sums[k - 1] * c[n - k]
+        c.append(ring.div(-acc, n))
     return Polynomial(ring, c)
 
 
@@ -172,7 +167,7 @@ def series_log(s: TruncatedPowerSeries) -> TruncatedPowerSeries:
     if s.coeffs[0] != 1:
         raise ValueError("log needs constant term 1")
     sums = power_sums(Polynomial(QQ, s.coeffs), s.order)
-    return TruncatedPowerSeries(QQ, [QQ.zero] + [-p / n for n, p in enumerate(sums, 1)])
+    return TruncatedPowerSeries(QQ, [0] + [-p / n for n, p in enumerate(sums, 1)])
 
 
 def pade_reconstruct(

@@ -1,10 +1,11 @@
 """The rational Witt ring of Z, Q, or F_p.
 
 An element is a reduced rational function f = num/den with
-num(0) = den(0) = 1. Addition is multiplication of rational functions,
-multiplication is the tensor construction on companion-matrix pairs,
-and the ghost components g_n (with ghost(1 - at) = (a, a^2, ...)) turn
-both operations into pointwise arithmetic.
+num(0) = den(0) = 1; its coefficients are plain numbers, normalised by
+the ring descriptor (see rings). Addition is multiplication of rational
+functions, multiplication is the tensor construction on companion-matrix
+pairs, and the ghost components g_n (with ghost(1 - at) = (a, a^2, ...))
+turn both operations into pointwise arithmetic.
 
 The tensor determinant det(1 - t A (x) B) is evaluated through Newton
 power sums rather than a literal Kronecker matrix: the power sums of
@@ -32,7 +33,8 @@ from .series import (
     series_of_rational,
 )
 
-DEFAULT_MATRIX_CAP = 64
+# witt_mul refuses a product whose tensor determinants have a larger degree
+WITT_MUL_DEGREE_CAP = 64
 
 
 class WittVector:
@@ -55,9 +57,9 @@ class WittVector:
             num = num.exact_div(g)
             den = den.exact_div(g)
         cu, cv = num.constant(), den.constant()
-        if R.is_zero(cu) or not R.eq(cu, cv):
+        if not cu or cu != cv:
             raise ValueError("not a Witt vector: f(0) != 1")
-        if not R.eq(cu, R.one):
+        if cu != 1:
             if R.is_field:
                 inv = R.inv(cu)
                 num, den = num.scale(inv), den.scale(inv)
@@ -106,9 +108,7 @@ class WittVector:
         from .rings import ring_by_name
 
         R = ring_by_name(data["ring"])
-        num = Polynomial(R, [R.from_json(c) for c in data["num"]])
-        den = Polynomial(R, [R.from_json(c) for c in data["den"]])
-        return cls(num, den)
+        return cls(Polynomial(R, data["num"]), Polynomial(R, data["den"]))
 
 
 def witt_zero(ring: Ring = ZZ) -> WittVector:
@@ -116,15 +116,14 @@ def witt_zero(ring: Ring = ZZ) -> WittVector:
 
 
 def witt_one(ring: Ring = ZZ) -> WittVector:
-    return teichmuller(ring.one, ring)
+    return teichmuller(1, ring)
 
 
 def teichmuller(r, ring: Ring | None = None) -> WittVector:
     """[r] = 1 - rt."""
     if ring is None:
         ring = QQ if isinstance(r, Fraction) else ZZ
-    r = ring.coerce(r)
-    return WittVector(Polynomial(ring, [ring.one, ring.neg(r)]))
+    return WittVector(Polynomial(ring, [1, -ring.coerce(r)]))
 
 
 def witt_add(f: WittVector, g: WittVector) -> WittVector:
@@ -149,19 +148,17 @@ def tensor_det(P: Polynomial, Q: Polynomial) -> Polynomial:
     which commutes with taking determinants.
     """
     R = P.ring
-    if not R.eq(P.constant(), R.one) or not R.eq(Q.constant(), R.one):
+    if P.constant() != 1 or Q.constant() != 1:
         raise ValueError("tensor_det needs constant terms 1")
     if isinstance(R, PrimeField):
-        PZ = Polynomial(ZZ, list(P.coeffs))
-        QZ = Polynomial(ZZ, list(Q.coeffs))
-        return tensor_det(PZ, QZ).map_ring(R, R.from_int)
+        return tensor_det(Polynomial(ZZ, P.coeffs), Polynomial(ZZ, Q.coeffs)).map_ring(R)
     d = P.degree * Q.degree
     sp = power_sums(P, d)
     sq = power_sums(Q, d)
-    return poly_from_power_sums(R, [R.mul(a, b) for a, b in zip(sp, sq)], d)
+    return poly_from_power_sums(R, [a * b for a, b in zip(sp, sq)], d)
 
 
-def witt_mul(f: WittVector, g: WittVector, cap: int = DEFAULT_MATRIX_CAP) -> WittVector:
+def witt_mul(f: WittVector, g: WittVector) -> WittVector:
     if f.ring != g.ring:
         raise ValueError("ring mismatch")
     sizes = (
@@ -171,8 +168,8 @@ def witt_mul(f: WittVector, g: WittVector, cap: int = DEFAULT_MATRIX_CAP) -> Wit
         f.den.degree * g.num.degree,
     )
     worst = max(sizes)
-    if worst > cap:
-        raise ValueError(f"intermediate matrix size {worst} exceeds cap {cap}")
+    if worst > WITT_MUL_DEGREE_CAP:
+        raise ValueError(f"tensor degree {worst} exceeds the cap {WITT_MUL_DEGREE_CAP}")
     num = tensor_det(f.num, g.num) * tensor_det(f.den, g.den)
     den = tensor_det(f.num, g.den) * tensor_det(f.den, g.num)
     return WittVector(num, den)
@@ -186,8 +183,7 @@ def ghost(f: WittVector, N: int) -> list:
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    R = f.ring
-    return [R.sub(a, b) for a, b in zip(power_sums(f.num, N), power_sums(f.den, N))]
+    return [f.ring.coerce(a - b) for a, b in zip(power_sums(f.num, N), power_sums(f.den, N))]
 
 
 def from_ghost(g: Sequence, dnum: int, dden: int) -> WittVector:
@@ -211,8 +207,7 @@ def _frobenius_poly(P: Polynomial, nu: int) -> Polynomial:
     """det(1 - t A^nu) for the companion matrix A of P, via power sums."""
     R = P.ring
     if isinstance(R, PrimeField):
-        PZ = Polynomial(ZZ, list(P.coeffs))
-        return _frobenius_poly(PZ, nu).map_ring(R, R.from_int)
+        return _frobenius_poly(Polynomial(ZZ, P.coeffs), nu).map_ring(R)
     n = P.degree
     sp = power_sums(P, nu * n)
     return poly_from_power_sums(R, [sp[nu * k - 1] for k in range(1, n + 1)], n)
@@ -236,9 +231,8 @@ def verschiebung(f: WittVector, nu: int) -> WittVector:
     R = f.ring
 
     def spread(p: Polynomial) -> Polynomial:
-        out = [R.zero] * (p.degree * nu + 1) if not p.is_zero() else []
-        for i, c in enumerate(p.coeffs):
-            out[i * nu] = c
+        out = [0] * (p.degree * nu + 1)
+        out[::nu] = p.coeffs
         return Polynomial(R, out)
 
     return WittVector(spread(f.num), spread(f.den))
@@ -246,4 +240,4 @@ def verschiebung(f: WittVector, nu: int) -> WittVector:
 
 def canonical_projection(f: WittVector):
     """f -> -f'(0)/f(0); equals the first ghost component."""
-    return f.ring.sub(f.den[1], f.num[1])
+    return f.ring.coerce(f.den[1] - f.num[1])

@@ -54,7 +54,7 @@ def zeta_series(counts: PointCountTable) -> TruncatedPowerSeries:
 
 def count_ghosts(z: WittVector, m: int) -> list[int]:
     """Point counts encoded by a rational zeta: N_n = -ghost_n(z)."""
-    return [z.ring.neg(g) for g in ghost(z, m)]
+    return [z.ring.coerce(-g) for g in ghost(z, m)]
 
 
 def zeta_rational(counts: PointCountTable, dnum: int, dden: int) -> WittVector:

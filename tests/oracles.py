@@ -54,7 +54,7 @@ class Matrix:
     @classmethod
     def identity(cls, ring: Ring, n: int) -> "Matrix":
         return cls(
-            ring, [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
+            ring, [[int(i == j) for j in range(n)] for i in range(n)]
         )
 
     @property
@@ -84,9 +84,9 @@ class Matrix:
         for row in self.rows:
             out_row = []
             for col in cols:
-                acc = R.zero
+                acc = R.coerce(0)
                 for a, b in zip(row, col):
-                    acc = R.add(acc, R.mul(a, b))
+                    acc = R.coerce(acc + a * b)
                 out_row.append(acc)
             out.append(out_row)
         return Matrix(R, out)
@@ -105,9 +105,9 @@ class Matrix:
 
     def trace(self):
         R = self.ring
-        acc = R.zero
+        acc = R.coerce(0)
         for i in range(self.size):
-            acc = R.add(acc, self.rows[i][i])
+            acc = R.coerce(acc + self.rows[i][i])
         return acc
 
     def kron(self, other: "Matrix") -> "Matrix":
@@ -121,7 +121,7 @@ class Matrix:
             for k in range(m):
                 out.append(
                     [
-                        R.mul(self.rows[i][j], other.rows[k][l])
+                        R.coerce(self.rows[i][j] * other.rows[k][l])
                         for j in range(self.size)
                         for l in range(m)
                     ]
@@ -142,7 +142,7 @@ def det_one_minus_t(M: Matrix) -> Polynomial:
         return Polynomial.one(R)
     rows = M.rows
     # char vector of the trailing 1x1 principal submatrix
-    vec = [R.one, R.neg(rows[n - 1][n - 1])]
+    vec = [R.coerce(1), R.coerce(-rows[n - 1][n - 1])]
     for i in range(n - 2, -1, -1):
         m = n - i - 1  # current submatrix size
         a = rows[i][i]
@@ -153,24 +153,24 @@ def det_one_minus_t(M: Matrix) -> Polynomial:
         dots = []
         cur = col
         for _ in range(m):
-            acc = R.zero
+            acc = R.coerce(0)
             for rj, cj in zip(row, cur):
-                acc = R.add(acc, R.mul(rj, cj))
+                acc = R.coerce(acc + rj * cj)
             dots.append(acc)
             nxt = []
             for srow in sub:
-                s = R.zero
+                s = R.coerce(0)
                 for sv, cv in zip(srow, cur):
-                    s = R.add(s, R.mul(sv, cv))
+                    s = R.coerce(s + sv * cv)
                 nxt.append(s)
             cur = nxt
-        toep = [R.one, R.neg(a)] + [R.neg(d) for d in dots]
-        out = [R.zero] * (m + 2)
+        toep = [R.coerce(1), R.coerce(-a)] + [R.coerce(-d) for d in dots]
+        out = [R.coerce(0)] * (m + 2)
         for j, v in enumerate(vec):
-            if R.is_zero(v):
+            if not v:
                 continue
             for k in range(m + 2 - j):
-                out[j + k] = R.add(out[j + k], R.mul(toep[k], v))
+                out[j + k] = R.coerce(out[j + k] + toep[k] * v)
         vec = out
     return Polynomial(R, vec)
 
@@ -179,10 +179,10 @@ def companion(monic: Polynomial) -> Matrix:
     """Companion matrix of a monic polynomial (in the x variable)."""
     R = monic.ring
     n = monic.degree
-    if n < 0 or not R.eq(monic.leading(), R.one):
+    if n < 0 or monic.leading() != 1:
         raise ValueError("companion matrix needs a monic polynomial")
     rows = [
-        [R.one if j == i - 1 else R.zero for j in range(n - 1)] + [R.neg(monic[i])]
+        [int(j == i - 1) for j in range(n - 1)] + [R.coerce(-monic[i])]
         for i in range(n)
     ]
     return Matrix(R, rows)
@@ -227,9 +227,9 @@ def ghost_via_series(f: WittVector, N: int) -> list:
     c = f.series(N).coeffs
     out: list = []
     for n in range(1, N + 1):
-        acc = R.mul(R.from_int(-n), c[n])
+        acc = R.coerce(-n * c[n])
         for k in range(1, n):
-            acc = R.sub(acc, R.mul(out[k - 1], c[n - k]))
+            acc = R.coerce(acc - out[k - 1] * c[n - k])
         out.append(acc)
     return out
 
@@ -294,24 +294,24 @@ def solve_linear_system(ring: Ring, A: Sequence[Sequence], b: Sequence):
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if not ring.is_zero(rows[i][c])), None)
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = ring.inv(rows[r][c])
-        rows[r] = [ring.mul(inv, x) for x in rows[r]]
+        rows[r] = [ring.coerce(inv * x) for x in rows[r]]
         for i in range(nrows):
-            if i != r and not ring.is_zero(rows[i][c]):
+            if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+                rows[i] = [ring.coerce(x - f * y) for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == nrows:
             break
     for i in range(r, nrows):
-        if not ring.is_zero(rows[i][ncols]):
+        if rows[i][ncols]:
             return None
-    x = [ring.zero] * ncols
+    x = [ring.coerce(0)] * ncols
     for i, c in enumerate(pivots):
         x[c] = rows[i][ncols]
     return x
@@ -337,7 +337,7 @@ def pade_reconstruct_toeplitz(
         raise ValueError("pade_reconstruct needs coefficients over Q")
 
     def coeff(n: int):
-        return s.coeffs[n] if n >= 0 else QQ.zero
+        return s.coeffs[n] if n >= 0 else QQ.coerce(0)
 
     if dden == 0:
         q_tail: list = []
@@ -346,16 +346,16 @@ def pade_reconstruct_toeplitz(
             [coeff(n - j) for j in range(1, dden + 1)]
             for n in range(dnum + 1, dnum + dden + 1)
         ]
-        b = [QQ.neg(coeff(n)) for n in range(dnum + 1, dnum + dden + 1)]
+        b = [QQ.coerce(-coeff(n)) for n in range(dnum + 1, dnum + dden + 1)]
         sol = solve_linear_system(QQ, A, b)
         if sol is None:
             raise ValueError("no rational reconstruction")
         q_tail = sol
-    den = Polynomial(QQ, [QQ.one] + q_tail)
+    den = Polynomial(QQ, [QQ.coerce(1)] + q_tail)
     num = Polynomial(
         QQ,
         [
-            sum((den[j] * coeff(n - j) for j in range(min(n, dden) + 1)), QQ.zero)
+            sum((den[j] * coeff(n - j) for j in range(min(n, dden) + 1)), QQ.coerce(0))
             for n in range(dnum + 1)
         ],
     )

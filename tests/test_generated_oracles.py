@@ -61,7 +61,7 @@ def random_coeff(rng, ring):
 
 def random_poly(rng, ring, max_degree):
     deg = rng.randint(0, max_degree)
-    return Polynomial(ring, [ring.one] + [random_coeff(rng, ring) for _ in range(deg)])
+    return Polynomial(ring, [ring.coerce(1)] + [random_coeff(rng, ring) for _ in range(deg)])
 
 
 def test_ghost_matches_series_route():
@@ -386,3 +386,79 @@ def test_gcd_matches_sympy():
         g = sympy.Poly(a.coeffs[::-1], x, domain="ZZ").gcd(sympy.Poly(b.coeffs[::-1], x, domain="ZZ"))
         want = [int(c) for c in g.primitive()[1].all_coeffs()[::-1]]
         assert a.gcd(b) == Polynomial(ZZ, want), (a, b)
+
+
+def _canonical(f):
+    """Every coefficient in the ring's canonical form, trailing zeros trimmed."""
+    R = f.ring
+    if f.coeffs and not f.coeffs[-1]:
+        return False
+    if R == ZZ:
+        return all(type(c) is int for c in f.coeffs)
+    if R == QQ:
+        return all(type(c) is Fraction for c in f.coeffs)
+    return all(type(c) is int and 0 <= c < R.p for c in f.coeffs)
+
+
+def test_poly_ops_match_sympy_and_stay_canonical():
+    """+, -, *, divmod, exact_div and gcd over Z, Q and F_p against sympy;
+    every result coefficient is canonical, so a missing mod-p reduction
+    or an int left over Q fails here."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(property_seed() + 23)
+
+    def draw(ring, max_degree):
+        n = rng.randint(0, max_degree + 1)
+        return Polynomial(ring, [random_coeff(rng, ring) for _ in range(n)])
+
+    def to_sympy(f, domain):
+        cs = [sympy.Rational(Fraction(c).numerator, Fraction(c).denominator) for c in f.coeffs]
+        if f.ring.characteristic:
+            return sympy.Poly.from_list(cs[::-1], x, modulus=f.ring.p)
+        return sympy.Poly.from_list(cs[::-1], x, domain=domain)
+
+    def coeffs(ring, g):
+        """sympy's answer as canonical coefficients of `ring`; raises
+        TypeError over Z if it is not integral."""
+        cs = [ring.coerce(Fraction(int(c.p), int(c.q))) for c in g.all_coeffs()[::-1]]
+        while cs and not cs[-1]:
+            cs.pop()
+        return tuple(cs)
+
+    def check(got, want, *args):
+        assert _canonical(got), (got, args)
+        assert got.coeffs == coeffs(got.ring, want), (got, want, args)
+
+    for ring in (ZZ, QQ, GF(2), GF(5), GF(7)):
+        for case in range(30):
+            a, b = draw(ring, 5), draw(ring, 4)
+            h = Polynomial.one(ring)
+            if case % 2:  # plant a monic common factor for gcd and exact_div
+                tail = [random_coeff(rng, ring) for _ in range(rng.randint(1, 3))]
+                h = Polynomial(ring, tail + [1])
+                a, b = a * h, b * h
+            sa, sb = to_sympy(a, "QQ"), to_sympy(b, "QQ")
+            check(a + b, sa + sb, a, b)
+            check(a - b, sa - sb, a, b)
+            check(a * b, sa * sb, a, b)
+            if b.is_zero():
+                continue
+            # over Z the divisor of divmod needs a unit leading coefficient
+            d = b if ring.is_field else Polynomial(ZZ, b.coeffs[:-1] + (rng.choice((1, -1)),))
+            q, r = a.divmod(d)
+            sq, sr = sa.div(to_sympy(d, "QQ"))
+            check(q, sq, a, d)
+            check(r, sr, a, d)
+            check((a * b).exact_div(b), sa, a, b)
+            sq, sr = sa.div(sb)
+            if sr.is_zero and all(c.q == 1 or ring.is_field for c in sq.all_coeffs()):
+                check(a.exact_div(b), sq, a, b)
+            else:
+                with pytest.raises(ValueError, match="inexact division"):
+                    a.exact_div(b)
+            domain = "ZZ" if ring == ZZ else "QQ"
+            g = to_sympy(a, domain).gcd(to_sympy(b, domain))
+            check(a.gcd(b), g.primitive()[1] if ring == ZZ else g, a, b)
+            if not a.is_zero():
+                assert a.gcd(b).degree >= h.degree, (a, b, h)

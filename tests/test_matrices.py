@@ -12,7 +12,7 @@ from wittkit.rings import GF, QQ, ZZ
 def naive_det(ring, rows):
     """Leibniz expansion; the independent oracle for the charpoly code."""
     n = len(rows)
-    total = ring.zero
+    total = ring.coerce(0)
     for perm in itertools.permutations(range(n)):
         sign = 1
         seen = list(perm)
@@ -20,10 +20,10 @@ def naive_det(ring, rows):
             for j in range(i + 1, n):
                 if seen[i] > seen[j]:
                     sign = -sign
-        term = ring.one if sign == 1 else ring.neg(ring.one)
+        term = ring.coerce(sign)
         for i in range(n):
-            term = ring.mul(term, rows[i][perm[i]])
-        total = ring.add(total, term)
+            term = ring.coerce(term * rows[i][perm[i]])
+        total = ring.coerce(total + term)
     return total
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 from fractions import Fraction
 
-from wittkit.poly import Polynomial, format_poly, lift_to_z, poly_from_roots
+from wittkit.poly import Polynomial, format_poly
 from wittkit.rings import GF, QQ, ZZ
 
 
@@ -26,14 +26,6 @@ def test_arithmetic():
     assert (-a).coeffs == (-1, -2, -3)
     assert a.scale(2).coeffs == (2, 4, 6)
     assert a.shift(2).coeffs == (0, 0, 1, 2, 3)
-
-
-def test_evaluate_and_derivative():
-    f = P([1, -5, 6])  # (1-2t)(1-3t)
-    assert f.evaluate(0) == 1
-    assert f.evaluate(1) == 2
-    assert f.evaluate(-2) == 35
-    assert f.derivative().coeffs == (-5, 12)
 
 
 def test_reversal():
@@ -97,24 +89,12 @@ def test_gcd_random_products_agree_with_construction():
         assert d.gcd(common.primitive()) == common.primitive()
 
 
-def test_map_ring_and_lift():
+def test_map_ring():
     f = P([1, -5, 6])
     f5 = f.map_ring(GF(5))
     assert f5.coeffs == (1, 0, 1)
     fq = f.map_ring(QQ)
     assert fq.ring == QQ and fq.coeffs == (1, -5, 6)
-    # lift clears denominators and strips content
-    g = P([Fraction(1, 2), Fraction(1, 3)], QQ)
-    assert lift_to_z(g).coeffs == (3, 2)
-    assert lift_to_z(P([2, 4])).coeffs == (2, 4)
-
-
-def test_poly_from_roots():
-    # monic product of (t - r)
-    f = poly_from_roots(ZZ, [2, 3])
-    assert f.coeffs == (6, -5, 1)
-    assert f.evaluate(2) == 0 and f.evaluate(3) == 0
-    assert poly_from_roots(ZZ, []).coeffs == (1,)
 
 
 def test_format_poly():
