@@ -28,7 +28,7 @@ from .parser import ParseError, parse_witt
 from .poly import Polynomial, format_poly
 from .reciprocity import linking_table, reciprocity_check, redei_scan, redei_symbol
 from .rings import GF, QQ, ZZ, PrimeField, ring_by_name
-from .series import TruncatedPowerSeries, pade_reconstruct
+from .series import pade_reconstruct
 from .witt import (
     WittVector,
     canonical_projection,
@@ -72,7 +72,6 @@ __all__ = [
     "PrimeField",
     "QQ",
     "TestFunction",
-    "TruncatedPowerSeries",
     "WittVector",
     "ZZ",
     "ZeroTable",

@@ -25,7 +25,8 @@ from fractions import Fraction
 from . import counting, explicit, orbits, reciprocity, zeta
 from . import parser as wparser
 from . import witt as wmod
-from .poly import format_poly
+from .poly import Polynomial, format_poly
+from .rings import GF, QQ
 
 TABULAR_COMMANDS = {"linking table", "zeta ledger"}
 
@@ -68,6 +69,8 @@ def _run_witt(args) -> tuple:
     op = args.verb
     if op in ("add", "mul", "sub"):
         f, g = wparser.parse_witt(args.series[0]), wparser.parse_witt(args.series[1])
+        if f.ring != g.ring:  # an integral text parses over Z, the other over Q
+            f, g = f.map_ring(QQ), g.map_ring(QQ)
         w = {"add": wmod.witt_add, "mul": wmod.witt_mul, "sub": wmod.witt_sub}[op](f, g)
         return _witt_result(w), [_pretty_witt(w)], None
     f = wparser.parse_witt(args.series[0])
@@ -210,19 +213,12 @@ def _run_product_formula(args) -> tuple:
         }
         lines = [f"{k} = {v}" for k, v in result.items()]
         return result, lines, None
-    from .rings import GF
-    from .poly import Polynomial
-
     ring = GF(args.p)
-    num = Polynomial(ring, _parse_coeff_list(args.num))
-    den = Polynomial(ring, _parse_coeff_list(args.den))
+    num_coeffs, den_coeffs = _parse_coeff_list(args.num), _parse_coeff_list(args.den)
+    num = Polynomial(ring, num_coeffs)
+    den = Polynomial(ring, den_coeffs)
     total = zeta.function_field_product_formula(num, den)
-    result = {
-        "p": args.p,
-        "num": _parse_coeff_list(args.num),
-        "den": _parse_coeff_list(args.den),
-        "sum": total,
-    }
+    result = {"p": args.p, "num": num_coeffs, "den": den_coeffs, "sum": total}
     return result, [f"weighted order sum = {total}"], None
 
 

@@ -13,8 +13,10 @@ A (x) B are products of those of A and B, and both directions of the
 Newton recurrence (series.power_sums, series.poly_from_power_sums) are
 division-free or exactly divisible, so the path is exact over Z and, by
 lifting representatives, over F_p. Ghost components and F_nu use the
-same recurrence. The literal Kronecker/Berkowitz matrix routes live in
-the test suite, as the oracle these are checked against.
+same recurrence, and from_ghost inverts the ghost map by the inverse
+recurrence followed by Padé reconstruction (series.pade_reconstruct).
+The literal Kronecker/Berkowitz matrix routes live in the test suite,
+as the oracle these are checked against.
 """
 
 from __future__ import annotations
@@ -23,15 +25,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .poly import Polynomial
-from .rings import QQ, ZZ, PrimeField, Ring
-from .series import (
-    TruncatedPowerSeries,
-    pade_reconstruct,
-    poly_from_power_sums,
-    power_sums,
-    series_of_polynomial,
-    series_of_rational,
-)
+from .rings import QQ, ZZ, PrimeField, Ring, ring_by_name
+from .series import pade_reconstruct, poly_from_power_sums, power_sums, series_of_rational
 
 # witt_mul refuses a product whose tensor determinants have a larger degree
 WITT_MUL_DEGREE_CAP = 64
@@ -92,7 +87,8 @@ class WittVector:
     def map_ring(self, ring: Ring) -> "WittVector":
         return WittVector(self.num.map_ring(ring), self.den.map_ring(ring))
 
-    def series(self, order: int) -> TruncatedPowerSeries:
+    def series(self, order: int) -> Polynomial:
+        """The power series of f to the given order (degree <= order)."""
         return series_of_rational(self.num, self.den, order)
 
     def to_json(self) -> dict:
@@ -105,8 +101,6 @@ class WittVector:
 
     @classmethod
     def from_json(cls, data: dict) -> "WittVector":
-        from .rings import ring_by_name
-
         R = ring_by_name(data["ring"])
         return cls(Polynomial(R, data["num"]), Polynomial(R, data["den"]))
 
@@ -190,16 +184,15 @@ def from_ghost(g: Sequence, dnum: int, dden: int) -> WittVector:
     """Reconstruct f over Q with the given ghost components.
 
     The ghost components of f are its power sums, so the inverse Newton
-    recurrence expands f as a series, which is then rationalized;
-    raises "no rational reconstruction" if no (dnum, dden) form matches
-    every ghost component supplied.
+    recurrence expands f to order N = len(g), and Padé reconstruction
+    rationalizes that series; raises "no rational reconstruction" if no
+    (dnum, dden) form matches every ghost component supplied.
     """
     gq = [QQ.coerce(x) for x in g]
     N = len(gq)
     if N < 1:
         raise ValueError("ghost sequence is empty")
-    s = series_of_polynomial(poly_from_power_sums(QQ, gq, N), N)
-    num, den = pade_reconstruct(s, dnum, dden)
+    num, den = pade_reconstruct(poly_from_power_sums(QQ, gq, N), N, dnum, dden)
     return WittVector(num, den)
 
 

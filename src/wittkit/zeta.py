@@ -1,8 +1,10 @@
 """Zeta functions of desk-scale varieties, product formulas, and
 closed-point ledgers with their Euler/Ruelle products.
 
-The zeta series of a point-count table N_1..N_m is exp(sum N_n t^n/n);
-its rational form is a Witt vector whose negated ghost components
+The zeta series of a point-count table N_1..N_m is exp(sum N_n t^n/n),
+the Witt vector whose ghost components are -N_1..-N_m: the inverse
+Newton recurrence on those ghosts expands it, and Padé reconstruction
+turns it into a rational Witt vector whose negated ghost components
 recover the counts. Ledgers list closed points as (norm, length,
 multiplicity) rows with length = log(norm), which is what makes the
 Euler and Ruelle products term-for-term identical.
@@ -22,7 +24,8 @@ from .finitefield import monic_polys
 from .ntheory import factorize, is_prime, primes_upto
 from .poly import Polynomial
 from .rings import QQ, ZZ
-from .series import TruncatedPowerSeries, pade_reconstruct, series_exp
+from .reciprocity import legendre
+from .series import pade_reconstruct, poly_from_power_sums
 from .util import kahan_sum
 from .witt import WittVector, ghost
 
@@ -43,13 +46,11 @@ class PointCountTable:
         return cls(p, tuple(int(c) for c in counts))
 
 
-def zeta_series(counts: PointCountTable) -> TruncatedPowerSeries:
-    """exp(sum_{n<=m} N_n t^n / n) over Q."""
+def zeta_series(counts: PointCountTable) -> Polynomial:
+    """exp(sum_{n<=m} N_n t^n / n) over Q to order m, the number of
+    counts: the series with power sums -N_1..-N_m."""
     m = len(counts.counts)
-    log_z = TruncatedPowerSeries(
-        QQ, [0] + [Fraction(N, n) for n, N in enumerate(counts.counts, start=1)], m
-    )
-    return series_exp(log_z)
+    return poly_from_power_sums(QQ, [-N for N in counts.counts], m)
 
 
 def count_ghosts(z: WittVector, m: int) -> list[int]:
@@ -66,7 +67,7 @@ def zeta_rational(counts: PointCountTable, dnum: int, dden: int) -> WittVector:
     """
     s = zeta_series(counts)
     try:
-        num, den = pade_reconstruct(s, dnum, dden)
+        num, den = pade_reconstruct(s, len(counts.counts), dnum, dden)
     except ValueError as e:
         raise ValueError(f"zeta not rational at given degrees: {e}") from None
     z = WittVector(num, den)
@@ -264,8 +265,6 @@ def is_fundamental_discriminant(d: int) -> bool:
 
 def kronecker_symbol(d: int, p: int) -> int:
     """(d|p) for prime p, including the p = 2 rule."""
-    from .reciprocity import legendre
-
     if p == 2:
         if d % 2 == 0:
             return 0

@@ -36,7 +36,7 @@ from wittkit.ntheory import factorize
 from wittkit.parser import ParseError, _Tokens
 from wittkit.poly import Polynomial
 from wittkit.rings import GF, QQ, ZZ, Ring
-from wittkit.series import TruncatedPowerSeries, series_of_rational
+from wittkit.series import series_of_rational
 from wittkit.witt import WittVector
 
 
@@ -224,7 +224,7 @@ def ghost_via_series(f: WittVector, N: int) -> list:
     """g_1..g_N by expanding f to order N and running Newton's identity
     on the series coefficients."""
     R = f.ring
-    c = f.series(N).coeffs
+    c = f.series(N)
     out: list = []
     for n in range(1, N + 1):
         acc = R.coerce(-n * c[n])
@@ -318,7 +318,7 @@ def solve_linear_system(ring: Ring, A: Sequence[Sequence], b: Sequence):
 
 
 def pade_reconstruct_toeplitz(
-    s: TruncatedPowerSeries, dnum: int, dden: int
+    s: Polynomial, order: int, dnum: int, dden: int
 ) -> tuple[Polynomial, Polynomial]:
     """Rational form (P, Q) with deg P <= dnum, deg Q <= dden, Q(0) = 1.
 
@@ -329,15 +329,15 @@ def pade_reconstruct_toeplitz(
     """
     if dnum < 0 or dden < 0:
         raise ValueError("degrees must be >= 0")
-    if s.order < dnum + dden:
+    if order < dnum + dden:
         raise ValueError(
-            f"series order {s.order} below dnum + dden = {dnum + dden}"
+            f"series order {order} below dnum + dden = {dnum + dden}"
         )
     if s.ring != QQ:
         raise ValueError("pade_reconstruct needs coefficients over Q")
 
     def coeff(n: int):
-        return s.coeffs[n] if n >= 0 else QQ.coerce(0)
+        return s[n] if n >= 0 else QQ.coerce(0)
 
     if dden == 0:
         q_tail: list = []
@@ -359,7 +359,7 @@ def pade_reconstruct_toeplitz(
             for n in range(dnum + 1)
         ],
     )
-    if series_of_rational(num, den, s.order).coeffs != s.coeffs:
+    if series_of_rational(num, den, order) != s:
         raise ValueError("no rational reconstruction")
     return num, den
 

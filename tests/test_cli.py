@@ -6,9 +6,12 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from oracles import parse_witt_reference
 from wittkit import cli
 from wittkit.cli import main
+from wittkit.rings import QQ, ZZ
 from wittkit.util import DEFAULT_PROPERTY_SEED, property_seed
+from wittkit.witt import witt_add, witt_mul, witt_sub
 
 SCHEMA = json.loads(
     resources.files("wittkit").joinpath("schemas/cli_output.schema.json").read_text()
@@ -55,6 +58,23 @@ def test_witt_mul_rejects_non_witt(capsys):
     assert code == 1
     assert "not a Witt vector" in err
     assert out == ""
+
+
+def test_witt_mixed_z_and_q_operands(capsys):
+    # an integral text parses over Z and the other over Q; the Z one is
+    # mapped to Q, so both orders of the pair succeed
+    pairs = [("1-t", "(2-t)/2"), ("1/(1-3t)", "1-t/3"), ("1", "(1-t/2)^2"), ("1-2t", "1/(1+t/2)")]
+    ops = {"add": witt_add, "sub": witt_sub, "mul": witt_mul}
+    for a, b in pairs + [(b, a) for a, b in pairs]:
+        f, g = parse_witt_reference(a), parse_witt_reference(b)
+        assert {f.ring, g.ring} == {QQ, ZZ}, (a, b)
+        for verb, op in ops.items():
+            want = op(f.map_ring(QQ), g.map_ring(QQ))
+            code, out, err = run_cli(capsys, ["witt", verb, a, b])
+            assert (code, err) == (0, ""), (verb, a, b, err)
+            assert out.splitlines()[2:] == [cli._pretty_witt(want)], (verb, a, b)
+            doc = run_json(capsys, ["witt", verb, a, b])
+            assert doc["result"] == dict(want.to_json(), pretty=cli._pretty_witt(want))
 
 
 def test_orbits_packet_example(capsys):

@@ -214,6 +214,7 @@ def test_json_round_trip():
     assert data == {"num": [1, -5, 6], "den": [1], "ring": "Z"}
 
 
-def test_series_expansion():
+def test_power_series_to_order():
     f = WittVector(ZP([1]), ZP([1, -1]))
-    assert f.series(4).coeffs == (1, 1, 1, 1, 1)
+    assert f.series(4) == ZP([1, 1, 1, 1, 1])
+    assert WittVector(ZP([1, -1])).series(4) == ZP([1, -1])  # degree <= order
