@@ -348,11 +348,6 @@ def _render(args, result, plain_lines, csv_rows) -> str:
         "# config: " + " ".join(f"{k}={v}" for k, v in config.items())
     )
     if args.format == "csv":
-        if csv_rows is None:
-            raise SystemExit(
-                f"csv output is not available for '{name}'; tabular commands: "
-                + ", ".join(sorted(TABULAR_COMMANDS))
-            )
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerows(csv_rows)
@@ -363,12 +358,17 @@ def _render(args, result, plain_lines, csv_rows) -> str:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    name = _command_name(args)
+    if args.format == "csv" and name not in TABULAR_COMMANDS:  # usage error
+        print(
+            f"csv output is not available for '{name}'; tabular commands: "
+            + ", ".join(sorted(TABULAR_COMMANDS)),
+            file=sys.stderr,
+        )
+        return 2
     try:
         result, plain_lines, csv_rows = args.func(args)
         text = _render(args, result, plain_lines, csv_rows)
-    except SystemExit as exc:  # csv-on-nontabular: usage error
-        print(exc, file=sys.stderr)
-        return 2
     except (ValueError, RuntimeError, AssertionError, ArithmeticError, OSError) as exc:
         print(f"wittkit: error: {exc}", file=sys.stderr)
         return 1

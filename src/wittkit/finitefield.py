@@ -4,7 +4,8 @@ Elements are coefficient tuples (c_0, ..., c_{n-1}) of ints mod p,
 residues mod the chosen monic irreducible modulus, constant term first;
 no other module knows that encoding. One plain-int kernel
 (`_mulmod`/`_powmod`) serves field arithmetic, the generator search,
-discrete logs and the irreducibility test, and `FiniteField.tables()`
+discrete logs and the irreducibility test, whose subfield gcds go
+through `Polynomial.gcd`, the one Euclid mod p. `FiniteField.tables()`
 builds exp/log/digit tables over element codes lazily, once per field.
 
 Element k of the enumeration has the digits of k base p, so

@@ -1,29 +1,62 @@
 """Elementary number theory helpers shared across the package.
 
-Everything here is exact and desk-scale: trial division and sieves only,
-no probabilistic primality.
+Everything here is exact and desk-scale. Factoring is trial division.
+Primality is trial division by the primes up to 127, then Miller-Rabin
+on the first k prime bases, which is exact below psi_k (Jaeschke 1993;
+Sorenson & Webster, "Strong pseudoprimes to twelve prime bases", Math.
+Comp. 2017): the bases 2..41 certify every n below psi_13 ~ 3.3 * 10^24,
+and is_prime refuses from there on.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 TRIAL_DIVISION_LIMIT = 10**6
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
+# the primes 43..127: below 43^2, coprime to the primes up to 41 means prime
+_NEXT_PRODUCT = math.prod(q for q in range(43, 128) if math.gcd(q, _SMALL_PRODUCT) == 1)
+# psi_k for k = 1..13: the least strong pseudoprime to the first k prime bases
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+        3825123056546413051, 318665857834031151167461, 3317044064679887385961981)
+PRIMALITY_BOUND = _PSI[-1]
+
 
 def is_prime(n: int) -> bool:
-    """Trial-division primality test."""
-    if n < 2:
+    """Exact primality below PRIMALITY_BOUND = psi_13; ValueError above.
+
+    Trial division is a gcd with the product of the primes up to 41,
+    which decides n < 43^2, then one with the primes 43..127, which
+    decides n < 131^2; beyond, Miller-Rabin runs on the first k prime
+    bases for the least k with n < psi_k.
+    """
+    if n < 43 * 43:
+        if math.gcd(n, _SMALL_PRODUCT) != 1:  # prime only if it is that divisor
+            return n <= 41 and n in _SMALL_PRIMES
+        return n > 1
+    if n >= PRIMALITY_BOUND:
+        raise ValueError(f"primality is certified only below {PRIMALITY_BOUND}")
+    if math.gcd(n, _SMALL_PRODUCT) != 1 or math.gcd(n, _NEXT_PRODUCT) != 1:
         return False
-    if n < 4:
+    if n < 131 * 131:
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    m = n - 1
+    s = (m & -m).bit_length() - 1
+    d = m >> s
+    for a in _SMALL_PRIMES[: bisect_right(_PSI, n) + 1]:
+        x = pow(a, d, n)
+        if x == 1 or x == m:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == m:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

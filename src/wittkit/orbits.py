@@ -109,6 +109,9 @@ def _packet(p: int, n: int) -> tuple[PacketSummary, list[list[int]]]:
         raise ValueError(f"{p} is not prime")
     if n < 1:
         raise ValueError("n must be >= 1")
+    # far above the limit, p^n - 1 is slow to build and print: name it as a power
+    if n * math.log2(p) > (10**9).bit_length() + 128:
+        raise ValueError(f"p^n - 1 = {p}^{n} - 1 above the 10^9 limit")
     m = p**n - 1
     if m > 10**9:
         raise ValueError(f"p^n - 1 = {m} above the 10^9 limit")

@@ -8,12 +8,13 @@ F_p reduces mod p. Division and gcd follow the usual conventions:
 gcd is monic over a field, primitive with positive leading coefficient
 over Z.
 
-The gcd over Z, and through it the gcd over Q, is Brown's dense modular
-gcd: monic Euclid on plain-int residue lists modulo primes just below
-2^61, combined by CRT and certified by exact trial division. An image
-of degree 0 proves the inputs coprime, which settles most calls after
-one prime. The gcd by primitive remainder sequences is kept in the
-tests, as its oracle.
+One Euclid mod p, `_gcd_mod` on plain-int residue lists, serves every
+gcd. Over F_p it is the gcd itself. Over Z, and through it over Q, it
+takes the images of Brown's dense modular gcd modulo primes just below
+2^61, which are combined by CRT and certified by exact trial division.
+An image of degree 0 proves the inputs coprime, which settles most
+calls after one prime. The gcd by primitive remainder sequences is
+kept in the tests, as its oracle.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from itertools import zip_longest
 from math import gcd as int_gcd, lcm
 from typing import Sequence
 
+from .ntheory import is_prime
 from .rings import QQ, ZZ, Ring
 
 
@@ -124,25 +126,26 @@ class Polynomial:
         return Polynomial(ring, self.coeffs)
 
     def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        """Quotient and remainder; divisor leading coefficient must be a unit."""
+        """Quotient and remainder by long division; each quotient
+        coefficient comes from ring.div, so over Z it must be integral."""
         self._check(other)
         R = self.ring
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        lead_inv = R.inv(other.leading())
         rem = list(self.coeffs)
         dq = len(self.coeffs) - len(other.coeffs)
         if dq < 0:
             return Polynomial.zero(R), self
+        lead = other.leading()
         quot = [0] * (dq + 1)
         for i in range(dq, -1, -1):
-            c = R.coerce(rem[i + other.degree] * lead_inv)
+            c = R.div(rem[i + other.degree], lead)
             if not c:
                 continue
             quot[i] = c
             for j, b in enumerate(other.coeffs):
                 rem[i + j] -= c * b
-        return Polynomial(R, quot), Polynomial(R, rem)
+        return Polynomial(R, quot), Polynomial(R, rem[: other.degree])  # the rest is 0 in R
 
     def __floordiv__(self, other: "Polynomial") -> "Polynomial":
         return self.divmod(other)[0]
@@ -151,37 +154,15 @@ class Polynomial:
         return self.divmod(other)[1]
 
     def exact_div(self, other: "Polynomial") -> "Polynomial":
-        """Division that must leave no remainder.
-
-        Long division through ring.div, so over Z every quotient
-        coefficient must come out integral; any failure raises
-        "inexact division".
-        """
-        self._check(other)
-        R = self.ring
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero():
-            return self
-        dq = self.degree - other.degree
-        if dq < 0:
+        """Division that must leave no remainder; over Z every quotient
+        coefficient must also be integral. Raises "inexact division"."""
+        try:
+            quot, rem = self.divmod(other)
+        except ValueError:
+            raise ValueError("inexact division") from None
+        if not rem.is_zero():
             raise ValueError("inexact division")
-        rem = list(self.coeffs)
-        lead = other.leading()
-        quot = [0] * (dq + 1)
-        for i in range(dq, -1, -1):
-            try:
-                c = R.div(rem[i + other.degree], lead)
-            except ValueError:
-                raise ValueError("inexact division") from None
-            if not c:
-                continue
-            quot[i] = c
-            for j, b in enumerate(other.coeffs):
-                rem[i + j] -= c * b
-        if any(map(R.coerce, rem)):
-            raise ValueError("inexact division")
-        return Polynomial(R, quot)
+        return quot
 
     def monic(self) -> "Polynomial":
         if self.is_zero():
@@ -212,7 +193,8 @@ class Polynomial:
         primitive part of the gcd (1 for two nonzero constants); two zero
         inputs give zero. Over Q it is the Z gcd of the primitive integer
         multiples, made monic (Gauss's lemma), which avoids the
-        coefficient growth of Euclid over Q.
+        coefficient growth of Euclid over Q. Over F_p it is the Euclid
+        mod p that also computes the images of the Z gcd.
         """
         self._check(other)
         R = self.ring
@@ -220,12 +202,10 @@ class Polynomial:
             return _gcd_zz(self.primitive(), other.primitive())
         if R == QQ:
             return _gcd_zz(_integral(self), _integral(other)).map_ring(QQ).monic()
-        if not R.is_field:
-            raise ValueError(f"gcd unsupported over {R}")
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
+        if self.is_zero() or other.is_zero():
+            return (self + other).monic()
+        g = _gcd_mod(list(self.coeffs[::-1]), list(other.coeffs[::-1]), R.p)
+        return Polynomial(R, g[::-1])
 
     def __str__(self):
         return format_poly(self)
@@ -238,32 +218,12 @@ class Polynomial:
 _GCD_PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45, 2**61 - 229)
 
 
-def _is_prime_u64(n: int) -> bool:
-    """Miller-Rabin for odd 37 < n < 2^64; the first twelve prime bases
-    make it deterministic below 3.3 * 10^24."""
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def _gcd_primes():
     """_GCD_PRIMES, then every smaller prime in turn."""
     yield from _GCD_PRIMES
     n = _GCD_PRIMES[-1] - 2
     while True:
-        if _is_prime_u64(n):
+        if is_prime(n):
             yield n
         n -= 2
 

@@ -190,9 +190,11 @@ def _poly_irreducible_factors(f: Polynomial) -> dict[Polynomial, int]:
     d = 1
     while rem.degree >= 2 * d:
         for cand in monic_polys(p, d):
-            while (rem % cand).is_zero():
+            quot, r = rem.divmod(cand)
+            while r.is_zero():
                 out[cand] = out.get(cand, 0) + 1
-                rem = rem.exact_div(cand)
+                rem = quot
+                quot, r = rem.divmod(cand)
         d += 1
     if rem.degree >= 1:
         out[rem] = out.get(rem, 0) + 1

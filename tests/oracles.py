@@ -21,7 +21,9 @@ constructions that the Newton power-sum routes in wittkit replace:
   sequence instead of the modular gcd in wittkit.poly;
 - parse_witt_reference, the expression parser evaluated over Q with
   Fraction coefficients and mapped to Z afterwards, instead of the
-  evaluation over Z in wittkit.parser.
+  evaluation over Z in wittkit.parser;
+- is_prime_trial_division, primality by odd trial divisors up to
+  sqrt(n), instead of the deterministic Miller-Rabin in wittkit.ntheory.
 """
 
 from __future__ import annotations
@@ -519,3 +521,19 @@ def parse_witt_reference(expr: str) -> WittVector:
         return w.map_ring(ZZ)
     except (TypeError, ValueError):
         return w
+
+
+def is_prime_trial_division(n: int) -> bool:
+    """Primality by trial division."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True

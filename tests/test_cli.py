@@ -124,6 +124,12 @@ def test_csv_only_for_tabular(capsys):
                                       "--format", "csv"])
     assert code == 2
     assert "csv output is not available" in err
+    # refused before the computation runs, so a failing one exits 2 too
+    code, out, err = run_cli(capsys, ["redei", "3", "41", "61", "--format", "csv"])
+    assert code == 2
+    assert err == ("csv output is not available for 'redei'; tabular commands:"
+                   " linking table, zeta ledger\n")
+    assert out == ""
 
 
 def test_json_outputs_validate(capsys, tmp_path):
@@ -263,6 +269,39 @@ def test_huge_enumeration_refused_up_front(capsys, tmp_path):
         assert err == (f"wittkit: error: enumeration needs 5^{nvars} evaluation steps,"
                        " above the cap 100000000\n")
         assert out == ""
+
+
+def test_packet_above_limit_refused(capsys):
+    code, out, err = run_cli(capsys, ["orbits", "packet", "2", "40"])
+    assert code == 1
+    assert err == "wittkit: error: p^n - 1 = 1099511627775 above the 10^9 limit\n"
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["orbits", "packet", "2", "100000000"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert err == "wittkit: error: p^n - 1 = 2^100000000 - 1 above the 10^9 limit\n"
+    assert out == ""
+
+
+def test_huge_prime_arguments_answer_fast(capsys, tmp_path):
+    """19-digit primes are checked by Miller-Rabin, not trial division,
+    so each command answers or refuses at once."""
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"p": 10**18 + 3, "vars": 1, "equations": [[[1, [1]]]]}))
+    cases = [
+        ["orbits", "packet", "1000000000000000003", "1"],
+        ["product-formula", "function-field", "--p", "1000000000000000003",
+         "--num", "1,1", "--den", "1"],
+        ["zeta", "ledger", "--source", "curve:1000000000000000003", "--bound", "10"],
+        ["redei", "1000000000000000009", "5", "13"],
+        ["zeta", "count", "--variety", str(path), "--n", "1"],
+    ]
+    for argv in cases:
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, argv)
+        assert time.perf_counter() - start < 2.0, argv
+        assert code in (0, 1), (argv, err)
+        assert "Traceback" not in err
 
 
 def test_property_seed_env_override(monkeypatch):

@@ -15,6 +15,7 @@ from oracles import (
     gcd_prs_reference,
     ghost_via_series,
     is_irreducible_reference,
+    is_prime_trial_division,
     pade_reconstruct_toeplitz,
     parse_witt_reference,
     transform_simpson,
@@ -38,8 +39,9 @@ from wittkit.finitefield import (
     monic_polys,
     smallest_irreducible,
 )
+from wittkit.ntheory import _PSI, is_prime
 from wittkit.parser import ParseError, parse_witt
-from wittkit.poly import _GCD_PRIMES, Polynomial, _gcd_primes, _is_prime_u64
+from wittkit.poly import _GCD_PRIMES, Polynomial, _gcd_primes
 from wittkit.rings import GF, QQ, ZZ
 from wittkit.series import (
     pade_reconstruct,
@@ -374,7 +376,26 @@ def test_gcd_primes_are_primes():
     # strong pseudoprimes to the bases up to 7 and up to 23
     odd = [3215031751, 3825123056546413051] + [rng.randrange(2**40, 2**64) | 1 for _ in range(500)]
     for n in odd:
-        assert _is_prime_u64(n) == sympy.isprime(n), n
+        assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_is_prime_matches_trial_division_and_sympy():
+    """Miller-Rabin against trial division below 2 * 10^4, and against
+    sympy on random 40-80-bit odd n; every psi_k, the least strong
+    pseudoprime to the first k prime bases, is composite."""
+    assert [is_prime(n) for n in range(-5, 2 * 10**4)] == [
+        is_prime_trial_division(n) for n in range(-5, 2 * 10**4)
+    ]
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(property_seed() + 24)
+    odd = [rng.randrange(2**39, 2**80) | 1 for _ in range(400)]
+    odd += [sympy.nextprime(n) for n in odd[:100]]
+    odd += [3215031751, 3825123056546413051, 318665857834031151167461]
+    odd += list(_PSI[:-1])
+    for n in odd:
+        assert is_prime(n) == sympy.isprime(n), n
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
 
 
 def test_gcd_matches_sympy():

@@ -1,0 +1,27 @@
+import pytest
+
+from wittkit.ntheory import PRIMALITY_BOUND, is_prime, primes_upto, sqrt_mod_prime
+
+
+def test_sqrt_mod_prime_matches_exhaustive_squares():
+    """Every residue of every odd prime below 2000, which includes the
+    Tonelli-Shanks branch for p = 1 mod 8; None exactly on non-residues."""
+    primes = primes_upto(2000)[1:]
+    assert any(p % 8 == 1 for p in primes)
+    for p in primes:
+        squares = {x * x % p for x in range(p)}
+        for a in range(p):
+            r = sqrt_mod_prime(a, p)
+            if a in squares:
+                assert r is not None and 0 <= r < p and r * r % p == a, (a, p, r)
+            else:
+                assert r is None, (a, p, r)
+
+
+def test_is_prime_refuses_above_its_certified_bound():
+    assert PRIMALITY_BOUND == 3317044064679887385961981
+    assert is_prime(PRIMALITY_BOUND - 168)  # the largest prime below the bound
+    assert not is_prime(PRIMALITY_BOUND - 2)  # 17 * 1709 * 1366183751 * 83570142193
+    for n in (PRIMALITY_BOUND, 10**30, 2**4000 + 1):
+        with pytest.raises(ValueError, match=f"certified only below {PRIMALITY_BOUND}"):
+            is_prime(n)
