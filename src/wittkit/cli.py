@@ -102,6 +102,8 @@ def _run_zeta(args) -> tuple:
         result = {"p": X.p, "n": args.n, "count": count}
         return result, [f"points over F_{X.p}^{args.n}: {count}"], None
     if args.verb == "rational":
+        if args.max_n < 1:
+            raise ValueError(f"--max-n must be >= 1, got {args.max_n}")
         X = _load_variety(args.variety)
         table = zeta.PointCountTable(
             p=X.p, counts=tuple(counting.point_count_table(X, args.max_n, cap=args.cap))
@@ -166,19 +168,11 @@ def _run_explicit(args) -> tuple:
 
 def _run_linking(args) -> tuple:
     table = reciprocity.linking_table(args.bound)
-    rows = [["p", "l", "p_mod4", "l_mod4", "sym_pl", "sym_lp", "relation_ok"]]
-    entries = []
-    for e in table:
-        entries.append(
-            {
-                "p": e.p, "l": e.l, "p_mod4": e.p_mod4, "l_mod4": e.l_mod4,
-                "sym_pl": e.symbol_pl, "sym_lp": e.symbol_lp,
-                "relation_ok": e.relation_ok,
-            }
-        )
-        rows.append([e.p, e.l, e.p_mod4, e.l_mod4, e.symbol_pl, e.symbol_lp,
-                     e.relation_ok])
-    result = {"bound": args.bound, "rows": entries}
+    rows = [["p", "l", "p_mod4", "l_mod4", "sym_pl", "sym_lp", "relation_ok"]] + [
+        [e.p, e.l, e.p_mod4, e.l_mod4, e.symbol_pl, e.symbol_lp, e.relation_ok]
+        for e in table
+    ]
+    result = {"bound": args.bound, "rows": [dict(zip(rows[0], row)) for row in rows[1:]]}
     lines = [" ".join(str(c) for c in row) for row in rows]
     return result, lines, rows
 

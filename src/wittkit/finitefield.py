@@ -2,10 +2,10 @@
 
 Elements are coefficient tuples (c_0, ..., c_{n-1}) of ints mod p,
 residues mod the chosen monic irreducible modulus, constant term first;
-no other module knows that encoding. One plain-int kernel
-(`_mulmod`/`_powmod`) serves field arithmetic, the generator search,
-discrete logs and the irreducibility test, whose subfield gcds go
-through `Polynomial.gcd`, the one Euclid mod p. `FiniteField.tables()`
+no other module knows that encoding. The plain-int F_p[t] kernel of
+`poly` (`_mulmod`/`_powmod`) serves field arithmetic, the generator
+search, discrete logs and Rabin's irreducibility test, which takes its
+Frobenius powers and gcds from the same kernel. `FiniteField.tables()`
 builds exp/log/digit tables over element codes lazily, once per field.
 
 Element k of the enumeration has the digits of k base p, so
@@ -23,7 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from .ntheory import factorize, is_prime
-from .poly import Polynomial, format_poly
+from .poly import Polynomial, _frobenius_gcd, _mulmod, _powmod, format_poly
 from .rings import GF
 
 DEFAULT_FIELD_LIMIT = 10**7
@@ -31,53 +31,19 @@ DEFAULT_FIELD_LIMIT = 10**7
 FFElem = tuple[int, ...]
 
 
-def _mulmod(a: FFElem, b: FFElem, low: FFElem, p: int) -> FFElem:
-    """a * b mod (t^n + low(t)) over F_p, n = len(low); inputs need not
-    be reduced mod p, the result is."""
-    n = len(low)
-    prod = [0] * max(len(a) + len(b) - 1, n)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                prod[j] += x * y
-    # t^k = -low(t) t^(k-n), from the top coefficient down
-    for k in range(len(prod) - 1, n - 1, -1):
-        c = prod[k] % p
-        if c:
-            for i, m in enumerate(low, k - n):
-                prod[i] -= c * m
-    return tuple(c % p for c in prod[:n])
-
-
-def _powmod(a: FFElem, e: int, low: FFElem, p: int) -> FFElem:
-    """a^e mod (t^n + low(t)) over F_p for e >= 0, by square-and-multiply."""
-    acc = (1,) + (0,) * (len(low) - 1)
-    while e:
-        if e & 1:
-            acc = _mulmod(acc, a, low, p)
-        a = _mulmod(a, a, low, p)
-        e >>= 1
-    return acc
-
-
 def _is_irreducible(f: Polynomial, p: int) -> bool:
-    """Monic degree-n modulus test: x^{p^n} = x mod f, and no subfield
-    roots (gcd(f, x^{p^{n/l}} - x) = 1 for each prime l | n)."""
+    """Rabin's test: a monic f of degree n is irreducible iff it divides
+    t^(p^n) - t and gcd(f, t^(p^(n/l)) - t) = 1 for each prime l | n."""
     n = f.degree
     if n <= 1:
         return True
-    low = f.coeffs[:n]
-    x = (0, 1) + (0,) * (n - 2)
-    frob = [x]  # frob[k] = x^{p^k} mod f
-    for _ in range(n):
-        frob.append(_powmod(frob[-1], p, low, p))
-    if frob[n] != x:
-        return False
-    t = Polynomial.t(f.ring)
-    for ell in factorize(n):
-        if f.gcd(Polynomial(f.ring, frob[n // ell]) - t).degree != 0:
+    h, k = (0, 1), 0  # h = t^(p^k) mod f
+    for j in sorted(n // ell for ell in factorize(n)):
+        h, g = _frobenius_gcd(f.coeffs, h, j - k, p)
+        if len(g) > 1:
             return False
-    return True
+        k = j
+    return len(_frobenius_gcd(f.coeffs, h, n - k, p)[1]) == n + 1
 
 
 def monic_polys(p: int, d: int) -> Iterator[Polynomial]:
@@ -85,11 +51,7 @@ def monic_polys(p: int, d: int) -> Iterator[Polynomial]:
     the k-th has the base-p digits of k as its low coefficients."""
     Fp = GF(p)
     for k in range(p**d):
-        coeffs = []
-        for _ in range(d):
-            coeffs.append(k % p)
-            k //= p
-        yield Polynomial(Fp, coeffs + [1])
+        yield Polynomial(Fp, [k // p**i % p for i in range(d)] + [1])
 
 
 def smallest_irreducible(p: int, n: int) -> Polynomial:

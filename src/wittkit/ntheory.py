@@ -1,6 +1,7 @@
 """Elementary number theory helpers shared across the package.
 
-Everything here is exact and desk-scale. Factoring is trial division.
+Everything here is exact and desk-scale. Factoring is trial division up
+to a limit, with the cofactor left over certified prime by is_prime.
 Primality is trial division by the primes up to 127, then Miller-Rabin
 on the first k prime bases, which is exact below psi_k (Jaeschke 1993;
 Sorenson & Webster, "Strong pseudoprimes to twelve prime bases", Math.
@@ -73,10 +74,11 @@ def primes_upto(bound: int) -> list[int]:
 
 
 def factorize(n: int, limit: int = TRIAL_DIVISION_LIMIT) -> dict[int, int]:
-    """Factor |n| by trial division.
+    """Factor |n| by trial division up to limit.
 
-    Raises ValueError if a cofactor above limit**2 remains that is not
-    certified prime by the attempted divisors, or on n = 0.
+    A cofactor above limit**2 is kept if is_prime certifies it; a
+    composite one, or one at or above PRIMALITY_BOUND, raises ValueError,
+    as does n = 0.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -94,8 +96,9 @@ def factorize(n: int, limit: int = TRIAL_DIVISION_LIMIT) -> dict[int, int]:
                 n //= q
         d += 6
     if n > 1:
-        if n > limit * limit:
-            raise ValueError(f"factor beyond trial-division limit {limit}: {n}")
+        if n > limit * limit and (n >= PRIMALITY_BOUND or not is_prime(n)):
+            bound = f" and primality bound {PRIMALITY_BOUND}" if n >= PRIMALITY_BOUND else ""
+            raise ValueError(f"factor beyond trial-division limit {limit}{bound}: {n}")
         factors[n] = factors.get(n, 0) + 1
     return factors
 

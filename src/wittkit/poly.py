@@ -8,13 +8,18 @@ F_p reduces mod p. Division and gcd follow the usual conventions:
 gcd is monic over a field, primitive with positive leading coefficient
 over Z.
 
-One Euclid mod p, `_gcd_mod` on plain-int residue lists, serves every
-gcd. Over F_p it is the gcd itself. Over Z, and through it over Q, it
-takes the images of Brown's dense modular gcd modulo primes just below
-2^61, which are combined by CRT and certified by exact trial division.
-An image of degree 0 proves the inputs coprime, which settles most
-calls after one prime. The gcd by primitive remainder sequences is
-kept in the tests, as its oracle.
+F_p[t] has one kernel, on plain-int residue lists that run ascending
+like `coeffs`: long division mod p, the Euclid `_gcd_mod`, products and
+powers mod a monic modulus, and `_frobenius_gcd`, t^(p^k) mod f by
+repeated p-th powers with its gcd against f after subtracting t.
+Rabin's test in `finitefield` and the distinct-degree factorisation in
+`zeta` run on it, and the Euclid serves every gcd. Over F_p it is the
+gcd itself. Over Z, and through it over Q, it takes the images of
+Brown's dense modular gcd modulo primes just below 2^61, which are
+combined by CRT and certified by exact trial division. An image of
+degree 0 proves the inputs coprime, which settles most calls after one
+prime. The gcd by primitive remainder sequences is kept in the tests,
+as its oracle.
 """
 
 from __future__ import annotations
@@ -202,10 +207,7 @@ class Polynomial:
             return _gcd_zz(self.primitive(), other.primitive())
         if R == QQ:
             return _gcd_zz(_integral(self), _integral(other)).map_ring(QQ).monic()
-        if self.is_zero() or other.is_zero():
-            return (self + other).monic()
-        g = _gcd_mod(list(self.coeffs[::-1]), list(other.coeffs[::-1]), R.p)
-        return Polynomial(R, g[::-1])
+        return Polynomial(R, _gcd_mod(self.coeffs, other.coeffs, R.p))
 
     def __str__(self):
         return format_poly(self)
@@ -228,30 +230,76 @@ def _gcd_primes():
         n -= 2
 
 
-def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    """Monic gcd mod p of two residue lists, descending, leading terms nonzero.
+def _divmod_mod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and trimmed remainder mod p, b trimmed; the row is reduced
+    mod p only at each leading term and at the end."""
+    nb = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    r = list(a)
+    q = [0] * max(len(r) - nb, 0)
+    for i in range(len(r) - 1, nb - 1, -1):
+        c = r[i] * inv % p
+        if c:
+            q[i - nb] = c
+            r[i - nb : i] = [x - c * y for x, y in zip(r[i - nb : i], b)]
+    r = [x % p for x in r[:nb]]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
 
-    Each long division reduces mod p only at the leading term and at the
-    end; in between the row entries are left unreduced.
-    """
+
+def _gcd_mod(a: Sequence[int], b: Sequence[int], p: int) -> Sequence[int]:
+    """Monic gcd mod p of trimmed residue lists; [] if both are zero."""
     if len(a) < len(b):
         a, b = b, a
     while len(b) > 1:
-        inv = pow(b[0], -1, p)
-        nb, tail = len(b), b[1:]
-        r = a[:]
-        for i in range(len(r) - nb + 1):
-            c = r[i] * inv % p
-            if c:
-                r[i + 1 : i + nb] = [x - c * y for x, y in zip(r[i + 1 : i + nb], tail)]
-        r = [x % p for x in r[len(r) - nb + 1 :]]
-        k = 0
-        while k < len(r) and not r[k]:
-            k += 1
-        if k == len(r):
-            return [x * inv % p for x in b]
-        a, b = b, r[k:]
-    return [1]
+        a, b = b, _divmod_mod(a, b, p)[1]
+    if b:
+        return [1]
+    inv = pow(a[-1], -1, p) if a else 0
+    return [x * inv % p for x in a]
+
+
+def _mulmod(a: Sequence[int], b: Sequence[int], low: tuple, p: int) -> tuple:
+    """a * b mod (t^n + low(t)) over F_p, n = len(low); inputs need not
+    be reduced mod p, the result is, padded to length n."""
+    n = len(low)
+    prod = [0] * max(len(a) + len(b) - 1, n)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                prod[j] += x * y
+    # t^k = -low(t) t^(k-n), from the top coefficient down
+    for k in range(len(prod) - 1, n - 1, -1):
+        c = prod[k] % p
+        if c:
+            for i, m in enumerate(low, k - n):
+                prod[i] -= c * m
+    return tuple(c % p for c in prod[:n])
+
+
+def _powmod(a: Sequence[int], e: int, low: tuple, p: int) -> tuple:
+    """a^e mod (t^n + low(t)) over F_p for e >= 0, by square-and-multiply."""
+    acc = (1,) + (0,) * (len(low) - 1)
+    while e:
+        if e & 1:
+            acc = _mulmod(acc, a, low, p)
+        a = _mulmod(a, a, low, p)
+        e >>= 1
+    return acc
+
+
+def _frobenius_gcd(f: Sequence[int], h: Sequence[int], k: int, p: int) -> tuple:
+    """(h^(p^k) mod f, monic gcd(f, h^(p^k) - t)) for a monic residue list
+    f, by k p-th powers. From h = t the power is t^(p^k), and the gcd is
+    the product of the distinct irreducible factors of f of degree
+    dividing k."""
+    low = tuple(f[:-1])
+    for _ in range(k):
+        h = _powmod(h, p, low, p)
+    d = list(h) + [0] * (2 - len(h))
+    d[1] -= 1
+    return h, _gcd_mod(f, _divmod_mod(d, f, p)[1], p)
 
 
 def _gcd_zz(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -269,12 +317,12 @@ def _gcd_zz(a: Polynomial, b: Polynomial) -> Polynomial:
         return b
     if b.is_zero():
         return a
-    A, B = a.coeffs[::-1], b.coeffs[::-1]
-    ell = int_gcd(A[0], B[0])
+    A, B = a.coeffs, b.coeffs
+    ell = int_gcd(A[-1], B[-1])
     G: list[int] = []
     M = 1
     for p in _gcd_primes():
-        if A[0] % p == 0 or B[0] % p == 0:
+        if A[-1] % p == 0 or B[-1] % p == 0:
             continue
         g = _gcd_mod([c % p for c in A], [c % p for c in B], p)
         if len(g) == 1:
@@ -292,7 +340,7 @@ def _gcd_zz(a: Polynomial, b: Polynomial) -> Polynomial:
             z = x + M * ((y - x) * m_inv % p)
             new.append(z - Mp if 2 * z > Mp else z)
         if new == G:
-            h = Polynomial(ZZ, G[::-1]).primitive()
+            h = Polynomial(ZZ, G).primitive()
             if _divides(h, a) and _divides(h, b):
                 return h
         G, M = new, Mp

@@ -7,7 +7,9 @@ Newton recurrence on those ghosts expands it, and Padé reconstruction
 turns it into a rational Witt vector whose negated ghost components
 recover the counts. Ledgers list closed points as (norm, length,
 multiplicity) rows with length = log(norm), which is what makes the
-Euler and Ruelle products term-for-term identical.
+Euler and Ruelle products term-for-term identical. The function-field
+product formula reads the degrees of the irreducible factors by
+distinct-degree factorisation on the F_p[t] kernel of `poly`.
 """
 
 from __future__ import annotations
@@ -20,9 +22,8 @@ from fractions import Fraction
 import numpy as np
 
 from .counting import DEFAULT_ENUM_CAP, AffineVariety, count_points
-from .finitefield import monic_polys
 from .ntheory import factorize, is_prime, primes_upto
-from .poly import Polynomial
+from .poly import Polynomial, _divmod_mod, _frobenius_gcd
 from .rings import QQ, ZZ
 from .reciprocity import legendre
 from .series import pade_reconstruct, poly_from_power_sums
@@ -154,13 +155,8 @@ def rational_orders(f: Fraction) -> dict[int, int]:
     """ord_p(f) for each prime p dividing numerator or denominator."""
     if f == 0:
         raise ValueError("f must be nonzero")
-    ords: dict[int, int] = {}
-    if abs(f.numerator) != 1:
-        for p, e in factorize(abs(f.numerator)).items():
-            ords[p] = ords.get(p, 0) + e
-    if f.denominator != 1:
-        for p, e in factorize(f.denominator).items():
-            ords[p] = ords.get(p, 0) - e
+    ords = factorize(f.numerator)  # the numerator and denominator share no prime
+    ords.update((p, -e) for p, e in factorize(f.denominator).items())
     return dict(sorted(ords.items()))
 
 
@@ -178,27 +174,26 @@ def product_formula_scale(f: Fraction) -> float:
     return kahan_sum(abs(e) * math.log(p) for p, e in rational_orders(Fraction(f)).items())
 
 
-def _poly_irreducible_factors(f: Polynomial) -> dict[Polynomial, int]:
-    """Monic irreducible factorization over F_p by trial division in
-    lexicographic order; composite candidates never divide the reduced
-    remainder, exactly like integer trial division."""
+def _degree_blocks(f: Polynomial) -> dict[int, int]:
+    """{d: sum of the multiplicities of f's monic irreducible factors of
+    degree d} for a nonzero f over F_p, by distinct-degree factorisation:
+    at step d the remainder has no factor of degree below d, so
+    gcd(rem, t^(p^d) - t) is the product of its distinct degree-d
+    factors, and dividing it out until the gcd is 1 counts each once per
+    multiplicity. Once 2d > deg rem, rem is 1 or irreducible."""
     p = f.ring.characteristic
-    if f.is_zero():
-        raise ValueError("cannot factor 0")
-    rem = f.monic()
-    out: dict[Polynomial, int] = {}
-    d = 1
-    while rem.degree >= 2 * d:
-        for cand in monic_polys(p, d):
-            quot, r = rem.divmod(cand)
-            while r.is_zero():
-                out[cand] = out.get(cand, 0) + 1
-                rem = quot
-                quot, r = rem.divmod(cand)
+    rem, blocks = f.monic().coeffs, {}
+    h, d = (0, 1), 1  # h = t^(p^(d-1)) mod a multiple of rem
+    while len(rem) > 2 * d:
+        h, g = _frobenius_gcd(rem, h, 1, p)
+        while len(g) > 1:
+            blocks[d] = blocks.get(d, 0) + (len(g) - 1) // d
+            rem = _divmod_mod(rem, g, p)[0]
+            g = _frobenius_gcd(rem, h, 0, p)[1]
         d += 1
-    if rem.degree >= 1:
-        out[rem] = out.get(rem, 0) + 1
-    return out
+    if len(rem) > 1:
+        blocks[len(rem) - 1] = blocks.get(len(rem) - 1, 0) + 1
+    return blocks
 
 
 def function_field_product_formula(num: Polynomial, den: Polynomial) -> int:
@@ -208,12 +203,9 @@ def function_field_product_formula(num: Polynomial, den: Polynomial) -> int:
         raise ValueError("ring mismatch")
     if num.is_zero() or den.is_zero():
         raise ValueError("f must be a nonzero rational function")
-    total = 0
+    total = den.degree - num.degree  # ord at infinity
     for piece, sign in ((num, 1), (den, -1)):
-        if piece.degree >= 1:
-            for pi, e in _poly_irreducible_factors(piece).items():
-                total += sign * e * pi.degree
-    total += den.degree - num.degree
+        total += sign * sum(d * e for d, e in _degree_blocks(piece).items())
     return total
 
 
@@ -253,9 +245,8 @@ def is_fundamental_discriminant(d: int) -> bool:
     if d in (0, 1):
         return False
 
-    def squarefree(m: int) -> bool:
-        m = abs(m)
-        return all(e == 1 for e in factorize(m).values()) if m > 1 else True
+    def squarefree(m: int) -> bool:  # m != 0; factorize(+-1) is {}
+        return all(e == 1 for e in factorize(m).values())
 
     if d % 4 == 1:
         return squarefree(d)

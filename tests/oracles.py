@@ -10,8 +10,12 @@ constructions that the Newton power-sum routes in wittkit replace:
 - ghost_via_series, the ghost map read off the expanded series;
 - count_irreducibles_by_enumeration, a test of every monic candidate;
 - field_mul_reference, field_pow_reference and is_irreducible_reference,
-  finite-field arithmetic through Polynomial objects instead of the
-  plain-int kernel in wittkit.finitefield;
+  finite-field arithmetic through Polynomial objects, with a Euclid of
+  Polynomial.__mod__ steps, instead of the plain-int F_p[t] kernel in
+  wittkit.poly;
+- _poly_irreducible_factors, factorization over F_p by trial division
+  by every monic candidate, instead of the distinct-degree
+  factorisation in wittkit.zeta;
 - solve_linear_system and pade_reconstruct_toeplitz, Padé reconstruction
   by an exact Gauss-Jordan solve of the Toeplitz system instead of the
   extended Euclidean algorithm in wittkit.series;
@@ -33,7 +37,7 @@ import math
 from typing import NamedTuple, Sequence
 
 from wittkit.explicit import TestFunction
-from wittkit.finitefield import _is_irreducible
+from wittkit.finitefield import _is_irreducible, monic_polys
 from wittkit.ntheory import factorize
 from wittkit.parser import ParseError, _Tokens
 from wittkit.poly import Polynomial
@@ -278,9 +282,39 @@ def is_irreducible_reference(f: Polynomial, p: int) -> bool:
         return False
     for ell in factorize(n) if n > 1 else {}:
         g = _poly_powmod(x, p ** (n // ell), f) - x
-        if f.gcd(g).degree != 0:
+        if _euclid(f, g).degree != 0:
             return False
     return True
+
+
+def _euclid(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Gcd over a field by Polynomial.__mod__ steps, up to a unit."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return a
+
+
+def _poly_irreducible_factors(f: Polynomial) -> dict[Polynomial, int]:
+    """Monic irreducible factorization over F_p by trial division in
+    lexicographic order; composite candidates never divide the reduced
+    remainder, exactly like integer trial division."""
+    p = f.ring.characteristic
+    if f.is_zero():
+        raise ValueError("cannot factor 0")
+    rem = f.monic()
+    out: dict[Polynomial, int] = {}
+    d = 1
+    while rem.degree >= 2 * d:
+        for cand in monic_polys(p, d):
+            quot, r = rem.divmod(cand)
+            while r.is_zero():
+                out[cand] = out.get(cand, 0) + 1
+                rem = quot
+                quot, r = rem.divmod(cand)
+        d += 1
+    if rem.degree >= 1:
+        out[rem] = out.get(rem, 0) + 1
+    return out
 
 
 def solve_linear_system(ring: Ring, A: Sequence[Sequence], b: Sequence):

@@ -230,6 +230,30 @@ def test_computation_error_messages(capsys):
     assert "not 1 mod 4" in err
 
 
+def test_max_n_below_one_refused_by_name(capsys, tmp_path):
+    curve = variety_file(tmp_path)
+    for value in ("0", "-3"):
+        code, out, err = run_cli(capsys, ["zeta", "rational", "--variety", curve,
+                                          "--max-n", value, "--dnum", "1", "--dden", "1"])
+        assert code == 1
+        assert err == f"wittkit: error: --max-n must be >= 1, got {value}\n"
+        assert out == ""
+
+
+def test_nineteen_digit_prime_answered(capsys):
+    """Distinct-degree factorisation answers over F_p for p = 10^18 + 3,
+    and a prime cofactor beyond trial division is certified by is_prime."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["product-formula", "function-field", "--p",
+                                      "1000000000000000003", "--num", "1,0,1", "--den", "1"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0, err
+    assert out.endswith("weighted order sum = 0\n")
+    code, out, err = run_cli(capsys, ["product-formula", "rational", "1000000000000000003"])
+    assert code == 0, err
+    assert "orders = {'1000000000000000003': 1}" in out
+
+
 def test_zero_denominator_refused(capsys):
     code, out, err = run_cli(capsys, ["product-formula", "rational", "1/0"])
     assert code == 1

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
+    _poly_irreducible_factors,
     count_irreducibles_by_enumeration,
     field_mul_reference,
     field_pow_reference,
@@ -33,15 +34,13 @@ from wittkit.explicit import (
 from wittkit.finitefield import (
     DEFAULT_FIELD_LIMIT,
     _is_irreducible,
-    _mulmod,
-    _powmod,
     finite_field_make,
     monic_polys,
     smallest_irreducible,
 )
 from wittkit.ntheory import _PSI, is_prime
 from wittkit.parser import ParseError, parse_witt
-from wittkit.poly import _GCD_PRIMES, Polynomial, _gcd_primes
+from wittkit.poly import _GCD_PRIMES, Polynomial, _gcd_primes, _mulmod, _powmod
 from wittkit.rings import GF, QQ, ZZ
 from wittkit.series import (
     pade_reconstruct,
@@ -51,7 +50,7 @@ from wittkit.series import (
 )
 from wittkit.util import property_seed
 from wittkit.witt import WittVector, ghost
-from wittkit.zeta import count_irreducibles
+from wittkit.zeta import _degree_blocks, count_irreducibles, function_field_product_formula
 
 
 def random_coeff(rng, ring):
@@ -122,6 +121,43 @@ def test_is_irreducible_matches_reference():
         for d in range(5):
             for f in monic_polys(p, d):
                 assert _is_irreducible(f, p) == is_irreducible_reference(f, p), f
+
+
+def test_degree_blocks_match_trial_division():
+    """Distinct-degree factorisation against trial division by every
+    monic candidate, as {deg pi: sum of multiplicities}, on random
+    numerators with planted squared and cubed factors, on constants and
+    linears, and on p-th powers such as (t+1)^p, (t^p - t)^2 and
+    t^(p^2) - t."""
+    rng = random.Random(property_seed() + 14)
+
+    def power(f, e):
+        out = Polynomial.one(f.ring)
+        for _ in range(e):
+            out = out * f
+        return out
+
+    cases = []
+    for p in (2, 3, 5, 7, 11, 13):
+        F = GF(p)
+        t = Polynomial.t(F)
+
+        def rand(deg):
+            return Polynomial(F, [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)])
+
+        frob = power(t, p) - t
+        cases += [rand(0), rand(1), power(t + Polynomial.one(F), p), power(frob, 2),
+                  power(t, p * p) - t, power(frob, p)]
+        for _ in range(22):
+            planted = power(rand(rng.randint(1, 3)), rng.choice((2, 3)))
+            cases.append(rand(rng.randint(0, 8 if p <= 5 else 5)) * planted)
+    assert len(cases) >= 150
+    for f in cases:
+        want: dict[int, int] = {}
+        for pi, e in _poly_irreducible_factors(f).items():
+            want[pi.degree] = want.get(pi.degree, 0) + e
+        assert _degree_blocks(f) == want, f
+        assert function_field_product_formula(f, Polynomial.one(f.ring)) == 0
 
 
 def test_tables_match_reference_multiplication():

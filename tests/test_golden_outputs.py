@@ -11,7 +11,7 @@ differ between numpy builds and CPUs.
 tests/data/golden_zeta_grid.json holds the full stdout, stderr and exit
 code of `zeta rational` over --max-n 0..4, --dnum 0..3 and --dden 0..3
 on the unit circle and on the elliptic curve y^2 = x^3 + x + 1 over
-F_5. The grid covers the refusals (N must be >= 1, series order below
+F_5. The grid covers the refusals (--max-n must be >= 1, series order below
 dnum + dden, no rational reconstruction, non-integral coefficients) as
 well as the successes.
 """

@@ -1,6 +1,6 @@
 import pytest
 
-from wittkit.ntheory import PRIMALITY_BOUND, is_prime, primes_upto, sqrt_mod_prime
+from wittkit.ntheory import PRIMALITY_BOUND, factorize, is_prime, primes_upto, sqrt_mod_prime
 
 
 def test_sqrt_mod_prime_matches_exhaustive_squares():
@@ -25,3 +25,20 @@ def test_is_prime_refuses_above_its_certified_bound():
     for n in (PRIMALITY_BOUND, 10**30, 2**4000 + 1):
         with pytest.raises(ValueError, match=f"certified only below {PRIMALITY_BOUND}"):
             is_prime(n)
+
+
+def test_factorize_keeps_certified_prime_cofactors():
+    """A cofactor beyond trial division is kept when is_prime certifies
+    it; a composite one, or one at or above PRIMALITY_BOUND, is refused."""
+    assert factorize(10**18 + 3) == {10**18 + 3: 1}
+    assert factorize(10**18 + 6) == {2: 1, 7: 1, 919: 1, 77724234416291: 1}
+    assert factorize(-3 * 10007, limit=10) == {3: 1, 10007: 1}
+    with pytest.raises(ValueError, match="limit 10: 100160063$"):
+        factorize(10007 * 10009, limit=10)
+    with pytest.raises(ValueError, match="^factor beyond trial-division limit 1000000: "
+                                         "1000036000099$"):
+        factorize(1000003 * 1000033)
+    for n in (PRIMALITY_BOUND, 2**89 - 1):  # a composite and a prime at or above the bound
+        with pytest.raises(ValueError, match=f"limit 1000000 and primality bound "
+                                             f"{PRIMALITY_BOUND}: {n}$"):
+            factorize(n)
