@@ -80,6 +80,7 @@ class FiniteField:
         self._low: FFElem = self.modulus.coeffs[:n]
         self.zero: FFElem = (0,) * n
         self.one: FFElem = (1,) + (0,) * (n - 1)
+        self._order_primes = list(factorize(self.q - 1)) if self.q > 2 else []
         self.gen = self._find_generator()
         self._tables: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
@@ -138,13 +139,14 @@ class FiniteField:
     def is_generator(self, g: FFElem) -> bool:
         if g == self.zero:
             return False
-        for ell in factorize(self.q - 1) if self.q > 2 else {}:
+        for ell in self._order_primes:
             if self.pow(g, (self.q - 1) // ell) == self.one:
                 return False
         return True
 
     def _find_generator(self) -> FFElem:
-        for code in range(1, self.q):
+        # for n > 1, codes below p are constants of F_p: orders divide p - 1
+        for code in range(self.p if self.n > 1 else 1, self.q):
             g = self.decode(code)
             if self.is_generator(g):
                 return g

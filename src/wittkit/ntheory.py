@@ -1,7 +1,8 @@
 """Elementary number theory helpers shared across the package.
 
-Everything here is exact and desk-scale. Factoring is trial division up
-to a limit, with the cofactor left over certified prime by is_prime.
+Everything here is exact and desk-scale; the sieve stops at SIEVE_LIMIT.
+Factoring is trial division, ended once is_prime certifies the cofactor.
+kronecker_symbol is the one quadratic character; callers check p prime.
 Primality is trial division by the primes up to 127, then Miller-Rabin
 on the first k prime bases, which is exact below psi_k (Jaeschke 1993;
 Sorenson & Webster, "Strong pseudoprimes to twelve prime bases", Math.
@@ -11,10 +12,12 @@ and is_prime refuses from there on.
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_right
 
 TRIAL_DIVISION_LIMIT = 10**6
+SIEVE_LIMIT = 2 * 10**6
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
@@ -62,7 +65,9 @@ def is_prime(n: int) -> bool:
 
 
 def primes_upto(bound: int) -> list[int]:
-    """All primes p <= bound, by Eratosthenes."""
+    """All primes p <= bound, by Eratosthenes; ValueError above SIEVE_LIMIT."""
+    if bound > SIEVE_LIMIT:
+        raise ValueError(f"prime sieve up to {bound} is above the cap {SIEVE_LIMIT}")
     if bound < 2:
         return []
     sieve = bytearray([1]) * (bound + 1)
@@ -73,33 +78,34 @@ def primes_upto(bound: int) -> list[int]:
     return [p for p in range(2, bound + 1) if sieve[p]]
 
 
-def factorize(n: int, limit: int = TRIAL_DIVISION_LIMIT) -> dict[int, int]:
-    """Factor |n| by trial division up to limit.
+def factorize(n: int) -> dict[int, int]:
+    """Factor |n| by trial division up to TRIAL_DIVISION_LIMIT.
 
-    A cofactor above limit**2 is kept if is_prime certifies it; a
-    composite one, or one at or above PRIMALITY_BOUND, raises ValueError,
+    The cofactor is tested with is_prime before the division and after
+    each prime divided out, so a prime one ends it at once. A cofactor
+    left composite, or at or above PRIMALITY_BOUND, raises ValueError,
     as does n = 0.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
     n = abs(n)
     factors: dict[int, int] = {}
-    for p in [2, 3]:
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    d = 5
-    while d * d <= n and d <= limit:
-        for q in (d, d + 2):
+    certified = n < PRIMALITY_BOUND and is_prime(n)
+    limit = TRIAL_DIVISION_LIMIT
+    pairs = ((d, d + 2) for d in range(5, limit + 1, 6))
+    for q in itertools.chain((2, 3), itertools.chain.from_iterable(pairs)):
+        if n == 1 or certified:
+            break
+        if n % q == 0:
             while n % q == 0:
                 factors[q] = factors.get(q, 0) + 1
                 n //= q
-        d += 6
+            certified = n < PRIMALITY_BOUND and is_prime(n)
     if n > 1:
-        if n > limit * limit and (n >= PRIMALITY_BOUND or not is_prime(n)):
+        if not certified:
             bound = f" and primality bound {PRIMALITY_BOUND}" if n >= PRIMALITY_BOUND else ""
             raise ValueError(f"factor beyond trial-division limit {limit}{bound}: {n}")
-        factors[n] = factors.get(n, 0) + 1
+        factors[n] = 1
     return factors
 
 
@@ -113,6 +119,16 @@ def euler_phi(n: int) -> int:
     return result
 
 
+def kronecker_symbol(d: int, p: int) -> int:
+    """(d|p) for a prime p that the caller has checked: Euler's criterion
+    d^((p-1)/2) mod p for odd p; for p = 2, 0 on even d, +1 on d = +-1
+    mod 8 and -1 on d = +-3 mod 8."""
+    if p == 2:
+        return (0, 1, 0, -1, 0, -1, 0, 1)[d % 8]
+    r = pow(d, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
+
+
 def sqrt_mod_prime(a: int, p: int) -> int | None:
     """A square root of a mod p, or None if a is a non-residue.
 
@@ -121,17 +137,12 @@ def sqrt_mod_prime(a: int, p: int) -> int | None:
     a %= p
     if p == 2 or a == 0:
         return a
-    if pow(a, (p - 1) // 2, p) != 1:
+    if kronecker_symbol(a, p) != 1:
         return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # write p - 1 = q * 2^s with q odd
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = q * 2^s with q odd
+    q = (p - 1) >> s
     z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
+    while kronecker_symbol(z, p) != -1:
         z += 1
     m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
     while t != 1:

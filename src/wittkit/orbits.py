@@ -176,12 +176,10 @@ def evaluate_integer(f: int, P: FiniteLevelPoint) -> complex:
     return cmath.exp(2j * cmath.pi * P.a * k / P.m)
 
 
-def frobenius_equivariance_check(
-    f: int, P: FiniteLevelPoint, nu: int, tol: float = 1e-9
-) -> bool:
-    """evaluate(f, F_nu(P)) = evaluate(f, P)^nu, to floating tolerance."""
+def frobenius_equivariance_check(f: int, P: FiniteLevelPoint, nu: int) -> bool:
+    """evaluate(f, F_nu(P)) = evaluate(f, P)^nu, to within 1e-9."""
     if math.gcd(nu, P.m) != 1:
         raise ValueError(f"nu = {nu} is not invertible mod {P.m}")
     lhs = evaluate_integer(f, frobenius_power(P, nu))
     rhs = evaluate_integer(f, P) ** nu
-    return abs(lhs - rhs) < tol
+    return abs(lhs - rhs) < 1e-9

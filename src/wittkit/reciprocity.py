@@ -1,6 +1,9 @@
 """Quadratic residue symbols as linking numbers, the reciprocity
 relation, and the Rédei triple symbol.
 
+Every symbol is ntheory.kronecker_symbol. Public entry points check
+their primes once; loops over sieved primes call the kernel directly.
+
 The Rédei symbol of distinct primes p, l, q = 1 mod 4 with all pairwise
 Legendre symbols +1 is computed from a primitive solution of
 x^2 - p y^2 - l z^2 = 0 normalized classically (y even, x > 0, q not
@@ -14,21 +17,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ntheory import is_prime, primes_upto, sqrt_mod_prime
+from .ntheory import is_prime, kronecker_symbol, primes_upto, sqrt_mod_prime
 
 REDEI_SEARCH_START = 64
 REDEI_SEARCH_CAP = 2**20
 
 
-def legendre(a: int, p: int) -> int:
-    """(a/p) by Euler's criterion; p must be an odd prime."""
+def _check_odd_prime(p: int) -> None:
     if p == 2 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
-    a %= p
-    if a == 0:
-        return 0
-    r = pow(a, (p - 1) // 2, p)
-    return 1 if r == 1 else -1
+
+
+def legendre(a: int, p: int) -> int:
+    """(a/p); p must be an odd prime."""
+    _check_odd_prime(p)
+    return kronecker_symbol(a, p)
 
 
 @dataclass(frozen=True)
@@ -47,12 +50,15 @@ def reciprocity_check(p: int, l: int) -> LinkingEntry:
     equal when p or l is 1 mod 4, opposite when both are 3 mod 4."""
     if p == l:
         raise ValueError("primes must be distinct")
-    s_pl = legendre(p, l)
-    s_lp = legendre(l, p)
-    if p % 4 == 1 or l % 4 == 1:
-        ok = s_pl == s_lp
-    else:
-        ok = s_pl == -s_lp
+    _check_odd_prime(l)
+    _check_odd_prime(p)
+    return _linking_entry(p, l)
+
+
+def _linking_entry(p: int, l: int) -> LinkingEntry:
+    s_pl = kronecker_symbol(p, l)
+    s_lp = kronecker_symbol(l, p)
+    ok = s_pl == (-s_lp if p % 4 == l % 4 == 3 else s_lp)
     if not ok:
         raise AssertionError(f"quadratic reciprocity violated at ({p}, {l})")
     return LinkingEntry(p, l, p % 4, l % 4, s_pl, s_lp, ok)
@@ -64,9 +70,7 @@ def linking_table(bound: int) -> list[LinkingEntry]:
     if bound < 5:
         raise ValueError("bound must be >= 5")
     odd_primes = primes_upto(bound - 1)[1:]  # drop 2
-    return [
-        reciprocity_check(p, l) for p in odd_primes for l in odd_primes if p != l
-    ]
+    return [_linking_entry(p, l) for p in odd_primes for l in odd_primes if p != l]
 
 
 @dataclass(frozen=True)
@@ -113,7 +117,7 @@ def redei_symbol(p: int, l: int, q: int, *, details: bool = False):
     if len({p, l, q}) != 3:
         raise ValueError("primes must be distinct")
     for a, b in ((p, l), (p, q), (l, q)):
-        if legendre(a, b) != 1 or legendre(b, a) != 1:
+        if kronecker_symbol(a, b) != 1 or kronecker_symbol(b, a) != 1:
             raise ValueError(f"pairwise symbol for ({a}, {b}) is not +1")
 
     r = sqrt_mod_prime(p, q)
@@ -141,7 +145,7 @@ def redei_symbol(p: int, l: int, q: int, *, details: bool = False):
             # factors are units because q divides neither z nor the product
             if u == 0:
                 raise AssertionError(f"normalization violated: q | x + y r at {(x, y, z)}")
-            symbols.add(legendre(u, q))
+            symbols.add(kronecker_symbol(u, q))
     if len(symbols) != 1:
         raise AssertionError(
             "normalization violated: solutions or roots disagree on the symbol"
@@ -152,23 +156,18 @@ def redei_symbol(p: int, l: int, q: int, *, details: bool = False):
     return symbol
 
 
-def redei_scan(limit: int, want: int | None = None, max_triples: int | None = None):
-    """Admissible triples with p < l < q < limit and their symbols;
-    optionally only those with a given symbol value."""
+def redei_scan(limit: int):
+    """Admissible triples with p < l < q < limit and their symbols."""
     primes = [v for v in primes_upto(limit - 1) if v % 4 == 1]
     out = []
     for i, p in enumerate(primes):
         for j in range(i + 1, len(primes)):
             l = primes[j]
-            if legendre(p, l) != 1:
+            if kronecker_symbol(p, l) != 1:
                 continue
             for k in range(j + 1, len(primes)):
                 q = primes[k]
-                if legendre(p, q) != 1 or legendre(l, q) != 1:
+                if kronecker_symbol(p, q) != 1 or kronecker_symbol(l, q) != 1:
                     continue
-                sym = redei_symbol(p, l, q)
-                if want is None or sym == want:
-                    out.append((p, l, q, sym))
-                    if max_triples and len(out) >= max_triples:
-                        return out
+                out.append((p, l, q, redei_symbol(p, l, q)))
     return out

@@ -7,7 +7,8 @@ Newton recurrence on those ghosts expands it, and Padé reconstruction
 turns it into a rational Witt vector whose negated ghost components
 recover the counts. Ledgers list closed points as (norm, length,
 multiplicity) rows with length = log(norm), which is what makes the
-Euler and Ruelle products term-for-term identical. The function-field
+Euler and Ruelle products term-for-term identical; a quadratic ledger
+splits each prime by ntheory.kronecker_symbol. The function-field
 product formula reads the degrees of the irreducible factors by
 distinct-degree factorisation on the F_p[t] kernel of `poly`.
 """
@@ -21,11 +22,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counting import DEFAULT_ENUM_CAP, AffineVariety, count_points
-from .ntheory import factorize, is_prime, primes_upto
+from .counting import AffineVariety, count_points
+from .ntheory import factorize, is_prime, kronecker_symbol, primes_upto
 from .poly import Polynomial, _divmod_mod, _frobenius_gcd
 from .rings import QQ, ZZ
-from .reciprocity import legendre
 from .series import pade_reconstruct, poly_from_power_sums
 from .util import kahan_sum
 from .witt import WittVector, ghost
@@ -98,8 +98,7 @@ def hasse_check(z: WittVector, p: int) -> bool:
 
 
 def projective_plane_counts(
-    p: int, homogeneous: list[tuple[int, tuple[int, int, int]]], m: int,
-    cap: int = DEFAULT_ENUM_CAP,
+    p: int, homogeneous: list[tuple[int, tuple[int, int, int]]], m: int
 ) -> PointCountTable:
     """Counts of a projective plane curve F(x, y, z) = 0 over F_{p^n}.
 
@@ -129,7 +128,7 @@ def projective_plane_counts(
     corner_value = sum(c for c, _ in corner_terms) % p
     counts = []
     for n in range(1, m + 1):
-        c = count_points(z1, n, cap=cap) + count_points(z0y1, n, cap=cap)
+        c = count_points(z1, n) + count_points(z0y1, n)
         if corner_value == 0:
             c += 1
         counts.append(c)
@@ -256,15 +255,6 @@ def is_fundamental_discriminant(d: int) -> bool:
     return False
 
 
-def kronecker_symbol(d: int, p: int) -> int:
-    """(d|p) for prime p, including the p = 2 rule."""
-    if p == 2:
-        if d % 2 == 0:
-            return 0
-        return 1 if d % 8 in (1, 7) else -1
-    return legendre(d % p, p)
-
-
 def ledger_quadratic(d: int, bound: float) -> ClosedPointLedger:
     """Closed points of norm <= bound in the quadratic field of
     fundamental discriminant d: split p gives two norm-p points, inert p
@@ -356,9 +346,9 @@ def euler_vs_ruelle(
     return euler, ruelle
 
 
-def zeta_reference(s: float, terms: int = 10**6) -> float:
-    """sum_{n<=terms} n^{-s} in double precision."""
-    n = np.arange(1, terms + 1, dtype=np.float64)
+def zeta_reference(s: float) -> float:
+    """sum_{n<=10^6} n^{-s} in double precision."""
+    n = np.arange(1, 10**6 + 1, dtype=np.float64)
     return float(np.sum(n ** (-s)))
 
 

@@ -27,7 +27,12 @@ constructions that the Newton power-sum routes in wittkit replace:
   Fraction coefficients and mapped to Z afterwards, instead of the
   evaluation over Z in wittkit.parser;
 - is_prime_trial_division, primality by odd trial divisors up to
-  sqrt(n), instead of the deterministic Miller-Rabin in wittkit.ntheory.
+  sqrt(n), instead of the deterministic Miller-Rabin in wittkit.ntheory;
+- kronecker_binary, the Kronecker symbol by the binary algorithm with
+  quadratic reciprocity (Cohen, A Course in Computational Algebraic
+  Number Theory, Alg. 1.4.10), and square_table, the quadratic character
+  mod an odd prime read off the list of squares, both instead of
+  Euler's criterion in wittkit.ntheory.kronecker_symbol.
 """
 
 from __future__ import annotations
@@ -571,3 +576,40 @@ def is_prime_trial_division(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+def kronecker_binary(a: int, b: int) -> int:
+    """(a|b) for any integers, Cohen's Alg. 1.4.10: strip twos with the
+    (2|b) rule, then reduce by reciprocity as in Euclid's algorithm."""
+    if b == 0:
+        return 1 if abs(a) == 1 else 0
+    if a % 2 == 0 and b % 2 == 0:
+        return 0
+    k = 1
+    while b % 2 == 0:
+        b //= 2
+        if a % 8 in (3, 5):
+            k = -k
+    if b < 0:
+        b = -b
+        if a < 0:
+            k = -k
+    while a != 0:  # b is odd and positive here
+        while a % 2 == 0:
+            a //= 2
+            if b % 8 in (3, 5):
+                k = -k
+        if a & b & 2:  # (-1)^((a-1)(b-1)/4), also for negative a
+            k = -k
+        a, b = b % abs(a), abs(a)
+    return k if b == 1 else 0
+
+
+def square_table(p: int) -> list[int]:
+    """The quadratic character mod an odd prime p, indexed by residue:
+    0 at 0, +1 on the squares x^2 mod p, -1 elsewhere."""
+    table = [-1] * p
+    table[0] = 0
+    for x in range(1, p):
+        table[x * x % p] = 1
+    return table

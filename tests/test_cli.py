@@ -9,6 +9,7 @@ import pytest
 from oracles import parse_witt_reference
 from wittkit import cli
 from wittkit.cli import main
+from wittkit.ntheory import SIEVE_LIMIT
 from wittkit.rings import QQ, ZZ
 from wittkit.util import DEFAULT_PROPERTY_SEED, property_seed
 from wittkit.witt import witt_add, witt_mul, witt_sub
@@ -345,6 +346,20 @@ def test_non_finite_bound_refused(capsys):
                                                                "--bound", "inf"])
             assert code == 1
             assert "--bound" in err
+            assert "Traceback" not in err
+            assert out == ""
+
+
+def test_sieve_above_cap_refused_up_front(capsys):
+    """A bound above SIEVE_LIMIT is refused before the sieve is allocated;
+    1e12 bytes ended in a MemoryError traceback."""
+    for source in ("spec Z", "quadratic:-4"):
+        for verb in (["ledger"], ["euler", "--s", "2"]):
+            code, out, err = run_cli(capsys, ["zeta"] + verb + ["--source", source,
+                                                               "--bound", "1e12"])
+            assert code == 1
+            assert err == ("wittkit: error: prime sieve up to 1000000000000 is above"
+                           f" the cap {SIEVE_LIMIT}\n")
             assert "Traceback" not in err
             assert out == ""
 

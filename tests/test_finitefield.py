@@ -31,6 +31,18 @@ def test_field_construction_and_published_generator():
     assert F9.is_generator(F9.gen)
 
 
+def test_generator_search_skips_constants():
+    """For n > 1 the search starts past the constants of F_p, which
+    cannot generate; it finds the generator a search from code 1 finds."""
+    for p in primes_upto(59):
+        n = 1
+        while p**n <= 2 * 10**5:
+            F = FiniteField(p, n)
+            first = next(c for c in range(1, F.q) if F.is_generator(F.decode(c)))
+            assert F.gen == F.decode(first), (p, n)
+            n += 1
+
+
 def test_field_size_limit():
     with pytest.raises(ValueError, match="exceeds limit"):
         FiniteField(2, 24)

@@ -3,6 +3,7 @@ generated inputs. Each draw is seeded from property_seed(), so
 WITT_ORBIT_SEED replays a failing draw."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -17,8 +18,10 @@ from oracles import (
     ghost_via_series,
     is_irreducible_reference,
     is_prime_trial_division,
+    kronecker_binary,
     pade_reconstruct_toeplitz,
     parse_witt_reference,
+    square_table,
     transform_simpson,
 )
 from wittkit.cli import main
@@ -38,7 +41,7 @@ from wittkit.finitefield import (
     monic_polys,
     smallest_irreducible,
 )
-from wittkit.ntheory import _PSI, is_prime
+from wittkit.ntheory import _PSI, factorize, is_prime, kronecker_symbol, primes_upto
 from wittkit.parser import ParseError, parse_witt
 from wittkit.poly import _GCD_PRIMES, Polynomial, _gcd_primes, _mulmod, _powmod
 from wittkit.rings import GF, QQ, ZZ
@@ -432,6 +435,46 @@ def test_is_prime_matches_trial_division_and_sympy():
         assert is_prime(n) == sympy.isprime(n), n
     for n in (3215031751, 3825123056546413051, 318665857834031151167461):
         assert not is_prime(n)
+
+
+def test_kronecker_symbol_matches_binary_and_squares():
+    """Euler's criterion and the p = 2 rule against the binary algorithm
+    on p = 2 and every odd p < 2000, with negative d and multiples of p,
+    and against the table of squares; against the binary algorithm alone
+    on random 61-bit primes."""
+    rng = random.Random(property_seed() + 25)
+    for d in range(-24, 25):  # every class mod 8, both signs
+        assert kronecker_symbol(d, 2) == kronecker_binary(d, 2), d
+    for p in primes_upto(2000)[1:]:
+        squares = square_table(p)
+        ds = [0, 1, -1, p, -p, rng.randrange(-10**6, 10**6) * p]
+        ds += [rng.randrange(-10**12, 10**12) for _ in range(12)]
+        for d in ds:
+            assert kronecker_symbol(d, p) == kronecker_binary(d, p) == squares[d % p], (d, p)
+    big = []
+    while len(big) < 20:
+        n = rng.getrandbits(61) | (1 << 60) | 1
+        if is_prime(n):
+            big.append(n)
+    for p in big:
+        for d in [p, -p, 2, -1] + [rng.randrange(-(2**70), 2**70) for _ in range(10)]:
+            assert kronecker_symbol(d, p) == kronecker_binary(d, p), (d, p)
+
+
+def test_factorize_matches_sympy():
+    """Products of small prime powers, some with one 13-19-digit prime,
+    against sympy.factorint, key order included."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(property_seed() + 26)
+    small = primes_upto(1000)
+    for _ in range(60):
+        n = math.prod(rng.choice(small) ** rng.randint(1, 3) for _ in range(rng.randint(0, 4)))
+        if rng.random() < 0.5:
+            n *= sympy.nextprime(rng.randrange(10**12, 10**18))
+        n *= rng.choice((1, -1))
+        want = dict(sorted(sympy.factorint(abs(n)).items()))
+        got = factorize(n)
+        assert list(got.items()) == list(want.items()), n
 
 
 def test_gcd_matches_sympy():

@@ -32,9 +32,7 @@ def test_factorize_keeps_certified_prime_cofactors():
     it; a composite one, or one at or above PRIMALITY_BOUND, is refused."""
     assert factorize(10**18 + 3) == {10**18 + 3: 1}
     assert factorize(10**18 + 6) == {2: 1, 7: 1, 919: 1, 77724234416291: 1}
-    assert factorize(-3 * 10007, limit=10) == {3: 1, 10007: 1}
-    with pytest.raises(ValueError, match="limit 10: 100160063$"):
-        factorize(10007 * 10009, limit=10)
+    assert factorize(-3 * 10007) == {3: 1, 10007: 1}
     with pytest.raises(ValueError, match="^factor beyond trial-division limit 1000000: "
                                          "1000036000099$"):
         factorize(1000003 * 1000033)

@@ -3,7 +3,7 @@ import math
 import pytest
 from fractions import Fraction
 
-from wittkit.ntheory import primes_upto
+from wittkit.ntheory import kronecker_symbol, primes_upto
 from wittkit.poly import Polynomial
 from wittkit.rings import GF, QQ
 from wittkit.zeta import (
@@ -17,7 +17,6 @@ from wittkit.zeta import (
     hasse_check,
     homogenize,
     is_fundamental_discriminant,
-    kronecker_symbol,
     ledger_projective_line,
     ledger_quadratic,
     ledger_spec_z,
