@@ -286,6 +286,12 @@ def count_irreducibles(q: int, degree: int) -> int:
         raise ValueError("only prime q supported for the projective-line ledger")
     if degree < 1:
         raise ValueError("degree must be >= 1")
+    return _necklace_count(q, degree)
+
+
+def _necklace_count(q: int, degree: int) -> int:
+    """count_irreducibles for a prime q and a degree >= 1 that the caller
+    has checked."""
     primes = list(factorize(degree)) if degree > 1 else []
     total = 0
     for k in range(len(primes) + 1):
@@ -302,7 +308,7 @@ def ledger_projective_line(q: int, bound: float) -> ClosedPointLedger:
     raw = [(q, 1)]  # the point at infinity
     d = 1
     while q**d <= bound:
-        raw.append((q**d, count_irreducibles(q, d)))
+        raw.append((q**d, _necklace_count(q, d)))
         d += 1
     return _merge(f"curve over F_{q}", bound, raw)
 

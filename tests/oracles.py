@@ -13,6 +13,9 @@ constructions that the Newton power-sum routes in wittkit replace:
   finite-field arithmetic through Polynomial objects, with a Euclid of
   Polynomial.__mod__ steps, instead of the plain-int F_p[t] kernel in
   wittkit.poly;
+- brute_force_count, a point count by evaluating every equation at every
+  point of F_{p^n}^k in that Polynomial-object arithmetic, instead of the
+  histograms and the table-driven sweep in wittkit.counting;
 - _poly_irreducible_factors, factorization over F_p by trial division
   by every monic candidate, instead of the distinct-degree
   factorisation in wittkit.zeta;
@@ -42,7 +45,7 @@ import math
 from typing import NamedTuple, Sequence
 
 from wittkit.explicit import TestFunction
-from wittkit.finitefield import _is_irreducible, monic_polys
+from wittkit.finitefield import _is_irreducible, finite_field_make, monic_polys
 from wittkit.ntheory import factorize
 from wittkit.parser import ParseError, _Tokens
 from wittkit.poly import Polynomial
@@ -277,6 +280,41 @@ def field_pow_reference(modulus: Polynomial, a, e: int) -> tuple:
     """a^e in F_p[t]/(modulus) for e >= 0, through Polynomial objects."""
     r = _poly_powmod(Polynomial(modulus.ring, a), e, modulus)
     return tuple(r[i] for i in range(modulus.degree))
+
+
+def brute_force_count(X, n):
+    """Independent oracle: direct enumeration through the Polynomial-object
+    field arithmetic of oracles.py instead of the table-driven evaluator."""
+    F = finite_field_make(X.p, n)
+    elems = list(F.enumerate())
+    count = 0
+    for codes in _tuples(len(elems), X.nvars):
+        point = [elems[c] for c in codes]
+        ok = True
+        for eq in X.equations:
+            acc = F.zero
+            for coeff, exps in eq:
+                term = F.from_int(coeff)
+                for var, e in enumerate(exps):
+                    if e:
+                        power = field_pow_reference(F.modulus, point[var], e)
+                        term = field_mul_reference(F.modulus, term, power)
+                acc = F.add(acc, term)
+            if acc != F.zero:
+                ok = False
+                break
+        if ok:
+            count += 1
+    return count
+
+
+def _tuples(base, length):
+    if length == 0:
+        yield ()
+        return
+    for rest in _tuples(base, length - 1):
+        for c in range(base):
+            yield rest + (c,)
 
 
 def is_irreducible_reference(f: Polynomial, p: int) -> bool:

@@ -2,44 +2,8 @@ import time
 
 import pytest
 
-from oracles import field_mul_reference, field_pow_reference
+from oracles import brute_force_count
 from wittkit.counting import AffineVariety, count_points, point_count_table
-from wittkit.finitefield import finite_field_make
-
-
-def brute_force_count(X, n):
-    """Independent oracle: direct enumeration through the Polynomial-object
-    field arithmetic of oracles.py instead of the table-driven evaluator."""
-    F = finite_field_make(X.p, n)
-    elems = list(F.enumerate())
-    count = 0
-    for codes in _tuples(len(elems), X.nvars):
-        point = [elems[c] for c in codes]
-        ok = True
-        for eq in X.equations:
-            acc = F.zero
-            for coeff, exps in eq:
-                term = F.from_int(coeff)
-                for var, e in enumerate(exps):
-                    if e:
-                        power = field_pow_reference(F.modulus, point[var], e)
-                        term = field_mul_reference(F.modulus, term, power)
-                acc = F.add(acc, term)
-            if acc != F.zero:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
-
-
-def _tuples(base, length):
-    if length == 0:
-        yield ()
-        return
-    for rest in _tuples(base, length - 1):
-        for c in range(base):
-            yield rest + (c,)
 
 
 def test_known_curve_counts():
@@ -114,6 +78,26 @@ def test_enumeration_cap_message():
     with pytest.raises(ValueError, match=r"^enumeration needs 5\^10000000 evaluation steps, above the cap 100000000$"):
         count_points(Z, 1)
     assert time.perf_counter() - start < 1.0
+
+
+def test_enumeration_cap_binds_separable():
+    # the histogram path does far less work than p^(kn) steps, but is held
+    # to the same cap and the same messages as the sweep
+    X = AffineVariety.make(7, 2, [[(1, (2, 0)), (1, (0, 2))]])
+    with pytest.raises(
+        ValueError,
+        match="^enumeration needs 79792266297612001 evaluation steps, above the cap 100000000$",
+    ):
+        count_points(X, 10)
+    Y = AffineVariety.make(5, 2, [[(1, (2, 0)), (1, (0, 2)), (4, (0, 0))]])
+    with pytest.raises(ValueError, match="^enumeration needs 625 evaluation steps, above the cap 10$"):
+        count_points(Y, 2, cap=10)
+
+
+def test_unit_circle_over_extension():
+    # x^2 + y^2 = 1 over F_{5^5}: q - chi(-1)^5 = 5^5 - 1, as -1 is a square mod 5
+    X = AffineVariety.make(5, 2, [[(1, (2, 0)), (1, (0, 2)), (4, (0, 0))]])
+    assert count_points(X, 5) == 5**5 - 1
 
 
 def test_validation():

@@ -11,6 +11,7 @@ import pytest
 
 from oracles import (
     _poly_irreducible_factors,
+    brute_force_count,
     count_irreducibles_by_enumeration,
     field_mul_reference,
     field_pow_reference,
@@ -25,6 +26,7 @@ from oracles import (
     transform_simpson,
 )
 from wittkit.cli import main
+from wittkit.counting import AffineVariety, _count_split, _count_sweep, count_points
 from wittkit.explicit import (
     TestFunction,
     ZeroTable,
@@ -179,6 +181,52 @@ def test_tables_match_reference_multiplication():
         assert cur == F.one and log[0] == -1
         for code in range(F.q):
             assert list(digits[code]) == [code // p**i % p for i in range(n)]
+
+
+VARIETY_KINDS = ("separable", "free variable", "constant", "mixed monomial", "two equations")
+
+
+def random_equation(rng, p, k, kind):
+    """Terms c x_v^e, several powers of one variable allowed, coefficients
+    drawn from 0..p+2 so that some are zero or reduce to zero mod p."""
+    if kind == "constant":
+        return [(rng.randint(0, p + 2), (0,) * k) for _ in range(rng.randint(1, 2))]
+    # a free variable is one that no term mentions
+    mentioned = range(k - 1) if kind == "free variable" else range(k)
+    eq = []
+    for _ in range(rng.randint(1, 5)):
+        exps = [0] * k
+        exps[rng.choice(mentioned)] = rng.randint(1, 7)
+        eq.append((rng.randint(0, p + 2), tuple(exps)))
+    if kind == "mixed monomial":
+        exps = [rng.randint(1, 3) for _ in range(k)]
+        eq.append((rng.randint(1, p - 1), tuple(exps)))
+    if rng.random() < 0.7:
+        eq.append((rng.randint(0, p - 1), (0,) * k))
+    return eq
+
+
+def test_split_count_matches_sweep_and_enumeration():
+    rng = random.Random(property_seed() + 27)
+    for i in range(150):
+        kind = VARIETY_KINDS[i % len(VARIETY_KINDS)]
+        p = rng.choice((2, 3, 5, 7, 11))
+        k = rng.randint(2 if kind in ("free variable", "mixed monomial") else 1, 3)
+        n = rng.randint(1, 3)
+        # the sweep runs p^((k-1)n) numpy passes
+        while n > 1 and p ** ((k - 1) * n) > 1000:
+            n -= 1
+        eqs = [random_equation(rng, p, k, kind)]
+        if kind == "two equations":
+            eqs.append(random_equation(rng, p, k, "separable"))
+        X = AffineVariety.make(p, k, eqs)
+        field = finite_field_make(p, n)
+        got = count_points(X, n)
+        assert got == _count_sweep(field, X.equations, k), (X, n)
+        if kind not in ("mixed monomial", "two equations"):
+            assert _count_split(field, X.equations[0], k) == got, (X, n)
+        if field.q**k <= 200:
+            assert got == brute_force_count(X, n), (X, n)
 
 
 def random_bump(rng):
