@@ -3,33 +3,29 @@
 A variety is a list of multivariate polynomials over F_p in dense
 exponent-vector form. Field arithmetic runs on integer element codes
 through the exp/log/digit tables of `FiniteField.tables()`; products are
-sums of logs and sums add digits mod p. Two counting paths:
+sums of logs and sums add digits mod p.
 
-- split: one nonconstant equation in which no monomial mixes variables,
-  F = A_1(x_1) + ... + A_k(x_k) + c (diagonal equations such as
-  y^2 - x^3 - ax - b and ax^2 + by^2 - c). Each A_v gives a histogram of
-  its values, and #X is the number of ways their values add up to -c,
-  O(q) work per variable instead of O(q^k) (the elementary form of the
-  counts of diagonal equations, Weil, Bull. AMS 55, 1949);
-- sweep: every other variety enumerates all of F_{p^n}^k, the last
-  variable swept as a whole numpy vector per assignment of the outer
-  variables.
-
-Both paths are held to the same cap on the p^(kn) evaluation steps.
+Variables that share a monomial form a group (x and y in xy + z^2 + 1),
+and a system of several equations is one group. Each group is enumerated
+by itself into a histogram of its values over element codes, and #X is
+the number of ways the groups' values add up to 0, times q per variable
+that no term mentions: O(q^s) work per group of s variables instead of
+O(q^k) for the whole space (the elementary counting of diagonal
+equations, Weil, Bull. AMS 55, 1949; Ireland & Rosen, ch. 8). Every
+variety is held to the same cap on the p^(kn) evaluation steps.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from .finitefield import finite_field_make
-from .ntheory import is_prime
+from .ntheory import bounded_power, is_prime
 
 DEFAULT_ENUM_CAP = 10**8
+_CHUNK = 1 << 15  # points of a group evaluated per numpy pass
 
 Monomial = tuple[int, tuple[int, ...]]  # (coeff, exponent vector)
 
@@ -105,20 +101,19 @@ def _is_term(term) -> bool:
 
 
 def count_points(X: AffineVariety, n: int, cap: int = DEFAULT_ENUM_CAP) -> int:
-    """#X(F_{p^n}): from value histograms when X is one nonconstant
-    equation with no monomial that mixes variables, else by enumeration
-    of F_{p^n}^k. Either way refused when p^(kn) is above the cap."""
+    """#X(F_{p^n}) from value histograms over connected groups of
+    variables; refused when p^(kn) is above the cap."""
     if n < 1:
         raise ValueError("n must be >= 1")
     # p^e steps; far above the cap, refuse from its bit length and print
     # it as a power, since the exact count can take seconds to build and
     # more digits than str() converts
     e = X.nvars * n
-    if e > (cap.bit_length() + 128) / math.log2(X.p):
+    steps = bounded_power(X.p, e, cap)
+    if steps is None:
         raise ValueError(
             f"enumeration needs {X.p}^{e} evaluation steps, above the cap {cap}"
         )
-    steps = X.p**e
     if steps > cap:
         raise ValueError(
             f"enumeration needs {steps} evaluation steps, above the cap {cap}"
@@ -134,59 +129,88 @@ def count_points(X: AffineVariety, n: int, cap: int = DEFAULT_ENUM_CAP) -> int:
             return 0
     if not nonconst:
         return q**k
-    if len(nonconst) == 1 and all(
-        sum(1 for e in exps if e) <= 1 for c, exps in nonconst[0] if c
-    ):
-        return _count_split(field, nonconst[0], k)
-    return _count_sweep(field, nonconst, k)
+    return _count(field, nonconst, k)
 
 
-def _count_split(field, eq, nvars: int) -> int:
-    """Zeros in F_q^nvars of one equation F = sum_v A_v(x_v) + c whose
-    nonzero monomials each mention at most one variable.
+def _count(field, equations, nvars: int) -> int:
+    """Common zeros in F_q^nvars of one or more equations.
 
-    h_v[a] counts the x with A_v(x) = a, so #X = q^free times the sum,
-    over a_1 + ... + a_j = -c, of h_1[a_1]...h_j[a_j], where free is the
-    number of variables that no term mentions. All but the last
-    histogram fold by exact convolution over element codes; the last is
-    read at -c - a by one dot product. Counts stay below q^nvars, so int64
-    holds them: q^2 is below 2^63 under the field limit, and three
-    histograms pass 2^63 only for q > 2*10^6, where the fold's q^2 steps
-    are out of reach anyway."""
+    h_g[a] counts the points of group g at which the first equation's terms
+    in g (and the constant terms, in the first group) sum to code a while
+    every later equation vanishes. All but the last histogram fold by exact
+    convolution over codes; the last, built from the negated terms, is read
+    by one dot product. Counts stay below q^nvars, so int64 holds them:
+    q^2 < 2^63 under the field limit, and three groups pass 2^63 only for
+    q > 2*10^6, out of the fold's reach."""
     exp, log, digits = field.tables()
     p, q, m = field.p, field.q, field.q - 1
     weights = p ** np.arange(field.n, dtype=np.int64)
-    const = 0
-    terms: dict[int, list[tuple[int, int]]] = {}  # variable -> [(log c, e mod m)]
-    for c, exps in eq:
-        if not c:
-            continue
-        mentioned = [(v, e) for v, e in enumerate(exps) if e]
-        if not mentioned:
-            const += c
-            continue
-        (v, e), = mentioned
-        # x^e = g^(e log x) for x != 0, and g has order m
-        terms.setdefault(v, []).append((int(log[c]), e % m))
+    # (c, exponents, the variables it mentions) per nonzero term
+    eqs = [[(c, exps, {v for v, e in enumerate(exps) if e}) for c, exps in eq if c]
+           for eq in equations]
+    groups: list[set[int]] = []
+    for vs in (vs for eq in eqs for _, _, vs in eq if vs):
+        joined = [g for g in groups if g & vs]
+        groups = [g for g in groups if g not in joined] + [vs.union(*joined)]
+    if len(eqs) > 1 or not groups:  # a system is one group; an empty one takes x_1
+        groups = [set().union(*groups) or {0}]
+    # a part's digit sums are at most (terms + 1)(p - 1): reduced by lookup
+    residue = np.arange((max(map(len, eqs)) + 1) * (p - 1) + 1) % p
     hists = []
-    for vterms in terms.values():
-        # digits of A_v(x) at every code x; row 0 (x = 0) stays zero
-        acc = np.zeros((q, field.n), dtype=np.int64)
-        for c_log, e in vterms:
-            acc[1:] += digits[exp[(c_log + e * log[1:]) % m]]
-        hists.append(np.bincount(acc % p @ weights, minlength=q))
-    target = -const % p  # the code of -c, an element of F_p
-    if not hists:
-        hits = int(target == 0)
-    elif len(hists) == 1:
-        hits = int(hists[0][target])
-    else:
-        acc = hists[0]
-        for h in hists[1:-1]:
-            acc = _convolve(acc, h, digits, weights, p)
-        minus = (digits[target] - digits) % p @ weights  # the code of target - a
-        hits = int(np.dot(acc, hists[-1][minus]))
-    return q ** (nvars - len(hists)) * hits
+    for i, group in enumerate(groups):
+        order = sorted(group)
+        sign = -1 if 0 < i == len(groups) - 1 else 1
+        # x^e = g^(e log x) for x != 0 and g has order m, so e > 0 reduces
+        # into 1..m before any int64 product, and x^e stays 0 at x = 0
+        parts = [
+            (sum(c for c, _, vs in eq if not vs) % p if i == 0 else 0,
+             [(int(log[sign * c % p]), [exps[v] and (exps[v] - 1) % m + 1 for v in order])
+              for c, exps, vs in eq if vs & group])
+            for eq in eqs
+        ]
+        hists.append(_histogram(field, len(order), parts, weights, residue))
+    acc = hists[0]
+    for h in hists[1:-1]:
+        acc = _convolve(acc, h, digits, weights, p)
+    hits = acc[0] if len(hists) == 1 else np.dot(acc, hists[-1])
+    return q ** (nvars - sum(map(len, groups))) * int(hits)
+
+
+def _histogram(field, s: int, parts, weights, residue):
+    """h[a] over the q^s points of a group with parts[j] = (constant, [(log c,
+    exponents)]) from equation j: the points where part 0 sums to code a and
+    later parts to 0. A pass takes assignments of the first s - 1 variables
+    as rows and the last one's nonzero codes as columns (a term mentioning it
+    is 0 at code 0), so a term is evaluated only over the axes it mentions."""
+    exp, log, digits = field.tables()
+    q, m = field.q, field.q - 1
+    rows, outer = max(1, _CHUNK // q), q ** (s - 1)
+    hist = 0
+    for start in range(0, outer, rows):
+        block = np.arange(start, min(start + rows, outer), dtype=np.int64)[:, None]
+        xs = [block // q ** (s - 2 - v) % q for v in range(s - 1)]
+        logs = [log[x] for x in xs] + [log[None, 1:]]
+        codes = []
+        for const, terms in parts:
+            acc = np.zeros((len(block), q, field.n), dtype=np.int64)  # digit sums
+            if const:
+                acc[:, :, 0] = const  # an element of F_p has the one digit c
+            for k, exps in terms:
+                zero = None  # where an outer variable that the term mentions is 0
+                for v in range(s - 1):
+                    if exps[v]:
+                        k = k + exps[v] * logs[v]
+                        zero = xs[v] == 0 if zero is None else zero | (xs[v] == 0)
+                code = exp[(k + exps[-1] * logs[-1] if exps[-1] else k) % m]
+                code = code if zero is None else np.where(zero, 0, code)
+                target = acc[:, 1:] if exps[-1] else acc
+                target += digits.take(code, axis=0)
+            codes.append((residue.take(acc) @ weights).ravel())
+        values, *others = codes
+        if others:
+            values = values[np.logical_and.reduce([c == 0 for c in others])]
+        hist = hist + np.bincount(values, minlength=q)
+    return hist
 
 
 def _convolve(f, g, digits, weights, p: int):
@@ -196,49 +220,6 @@ def _convolve(f, g, digits, weights, p: int):
         # b -> a + b permutes the codes, so no index repeats
         out[(digits + digits[a]) % p @ weights] += f[a] * g
     return out
-
-
-def _count_sweep(field, equations, nvars: int) -> int:
-    """Common zeros in F_q^nvars of one or more equations, by enumeration:
-    one numpy vector over the last variable per assignment of the others."""
-    exp, log, digits = field.tables()
-    p, q = field.p, field.q
-    m = q - 1  # order of the multiplicative group, always >= 1
-    exp2 = np.concatenate((exp, exp))  # exp2[i + j] = g^(i + j) for i, j < m
-    columns = np.ascontiguousarray(digits.T)  # column c: the digits of code c
-    # each equation as (log of its coefficient, exponents), zero terms dropped
-    eqs = [
-        [(int(log[field.encode(field.from_int(c))]), exps) for c, exps in eq if c]
-        for eq in equations
-    ]
-    # ylog[e][y - 1] = log(y^e) mod m for every nonzero code y of the last variable
-    ylog = {e: e * log[1:] % m for e in {exps[-1] for eq in eqs for _, exps in eq}}
-    total = 0
-    for outer in product(range(q), repeat=nvars - 1):
-        ok = None
-        for eq in eqs:
-            # digits of the equation at each value of the last variable
-            acc = np.zeros((field.n, q), dtype=np.int64)
-            const = np.zeros(field.n, dtype=np.int64)
-            for c_log, exps in eq:
-                if any(x == 0 and e for x, e in zip(outer, exps)):
-                    continue
-                # log of the coefficient times the outer factors
-                c_log += sum(e * int(log[x]) for x, e in zip(outer, exps) if e)
-                c_log %= m
-                if exps[-1]:
-                    term = np.zeros(q, dtype=np.int64)
-                    term[1:] = exp2[c_log + ylog[exps[-1]]]
-                    acc += np.take(columns, term, axis=1)
-                else:
-                    const += columns[:, exp[c_log]]
-            acc += const[:, None]
-            # a column is zero mod p where the equation vanishes; acc // p * p
-            # because numpy's int64 % is several times slower than //
-            zero_here = np.all(acc == acc // p * p, axis=0)
-            ok = zero_here if ok is None else (ok & zero_here)
-        total += int(np.count_nonzero(ok))
-    return total
 
 
 def point_count_table(X: AffineVariety, m: int, cap: int = DEFAULT_ENUM_CAP) -> list[int]:

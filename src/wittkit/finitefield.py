@@ -22,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .ntheory import factorize, is_prime
+from .ntheory import bounded_power, factorize, is_prime
 from .poly import Polynomial, _frobenius_gcd, _mulmod, _powmod, format_poly
 from .rings import GF
 
@@ -70,11 +70,12 @@ class FiniteField:
             raise ValueError(f"{p} is not prime")
         if n < 1:
             raise ValueError("n must be >= 1")
-        if p**n > DEFAULT_FIELD_LIMIT:
+        q = bounded_power(p, n, DEFAULT_FIELD_LIMIT)
+        if q is None or q > DEFAULT_FIELD_LIMIT:
             raise ValueError(f"field size {p}^{n} exceeds limit {DEFAULT_FIELD_LIMIT}")
         self.p = p
         self.n = n
-        self.q = p**n
+        self.q = q
         self.base = GF(p)
         self.modulus = smallest_irreducible(p, n)
         self._low: FFElem = self.modulus.coeffs[:n]

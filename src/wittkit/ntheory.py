@@ -109,6 +109,12 @@ def factorize(n: int) -> dict[int, int]:
     return factors
 
 
+def bounded_power(p: int, e: int, limit: int) -> int | None:
+    """p**e, or None when it is above limit by a factor over 2^128, told from
+    bit lengths: such a power can take seconds to build and to print."""
+    return None if e > (limit.bit_length() + 128) / math.log2(p) else p**e
+
+
 def euler_phi(n: int) -> int:
     """Euler totient; phi(1) = 1."""
     if n < 1:

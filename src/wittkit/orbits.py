@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .finitefield import DEFAULT_FIELD_LIMIT, finite_field_make
-from .ntheory import euler_phi, is_prime
+from .ntheory import bounded_power, euler_phi, is_prime
 
 
 @dataclass(frozen=True)
@@ -110,9 +110,10 @@ def _packet(p: int, n: int) -> tuple[PacketSummary, list[list[int]]]:
     if n < 1:
         raise ValueError("n must be >= 1")
     # far above the limit, p^n - 1 is slow to build and print: name it as a power
-    if n * math.log2(p) > (10**9).bit_length() + 128:
+    size = bounded_power(p, n, 10**9)
+    if size is None:
         raise ValueError(f"p^n - 1 = {p}^{n} - 1 above the 10^9 limit")
-    m = p**n - 1
+    m = size - 1
     if m > 10**9:
         raise ValueError(f"p^n - 1 = {m} above the 10^9 limit")
     orbits = _orbit_partition(p, n)

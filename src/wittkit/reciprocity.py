@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ntheory import is_prime, kronecker_symbol, primes_upto, sqrt_mod_prime
 
@@ -34,8 +35,7 @@ def legendre(a: int, p: int) -> int:
     return kronecker_symbol(a, p)
 
 
-@dataclass(frozen=True)
-class LinkingEntry:
+class LinkingEntry(NamedTuple):
     p: int
     l: int
     p_mod4: int

@@ -30,6 +30,10 @@ from .series import pade_reconstruct, poly_from_power_sums, power_sums, series_o
 
 # witt_mul refuses a product whose tensor determinants have a larger degree
 WITT_MUL_DEGREE_CAP = 64
+# frobenius and verschiebung refuse a nu whose product with the degree of
+# f is larger: at each cap the command takes about 1 s for degrees 1 to 6
+FROBENIUS_CAP = 5 * 10**4
+VERSCHIEBUNG_CAP = 10**6
 
 
 class WittVector:
@@ -206,10 +210,16 @@ def _frobenius_poly(P: Polynomial, nu: int) -> Polynomial:
     return poly_from_power_sums(R, [sp[nu * k - 1] for k in range(1, n + 1)], n)
 
 
+def _check_nu(f: WittVector, nu: int, name: str, cap: int) -> None:
+    degree = max(f.num.degree, f.den.degree)
+    if nu < 1 or nu * degree > cap:
+        raise ValueError("nu must be >= 1" if nu < 1 else
+                         f"{name} needs nu * degree = {nu} * {degree}, above the cap {cap}")
+
+
 def frobenius(f: WittVector, nu: int) -> WittVector:
     """F_nu: on matrix pairs (A, B) -> (A^nu, B^nu); F_nu[a] = [a^nu]."""
-    if nu < 1:
-        raise ValueError("nu must be >= 1")
+    _check_nu(f, nu, "frobenius", FROBENIUS_CAP)
     if nu == 1:
         return f
     return WittVector(_frobenius_poly(f.num, nu), _frobenius_poly(f.den, nu))
@@ -217,8 +227,7 @@ def frobenius(f: WittVector, nu: int) -> WittVector:
 
 def verschiebung(f: WittVector, nu: int) -> WittVector:
     """V_nu: f(t) -> f(t^nu)."""
-    if nu < 1:
-        raise ValueError("nu must be >= 1")
+    _check_nu(f, nu, "verschiebung", VERSCHIEBUNG_CAP)
     if nu == 1:
         return f
     R = f.ring

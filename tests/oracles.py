@@ -14,8 +14,10 @@ constructions that the Newton power-sum routes in wittkit replace:
   Polynomial.__mod__ steps, instead of the plain-int F_p[t] kernel in
   wittkit.poly;
 - brute_force_count, a point count by evaluating every equation at every
-  point of F_{p^n}^k in that Polynomial-object arithmetic, instead of the
-  histograms and the table-driven sweep in wittkit.counting;
+  point of F_{p^n}^k in that Polynomial-object arithmetic, and _count_sweep,
+  the same enumeration on the field tables with the last variable swept as
+  a numpy vector per assignment of the others, both instead of the value
+  histograms over groups of variables in wittkit.counting;
 - _poly_irreducible_factors, factorization over F_p by trial division
   by every monic candidate, instead of the distinct-degree
   factorisation in wittkit.zeta;
@@ -42,7 +44,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from itertools import product
 from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from wittkit.explicit import TestFunction
 from wittkit.finitefield import _is_irreducible, finite_field_make, monic_polys
@@ -306,6 +311,49 @@ def brute_force_count(X, n):
         if ok:
             count += 1
     return count
+
+
+def _count_sweep(field, equations, nvars: int) -> int:
+    """Common zeros in F_q^nvars of one or more equations, by enumeration:
+    one numpy vector over the last variable per assignment of the others."""
+    exp, log, digits = field.tables()
+    p, q = field.p, field.q
+    m = q - 1  # order of the multiplicative group, always >= 1
+    exp2 = np.concatenate((exp, exp))  # exp2[i + j] = g^(i + j) for i, j < m
+    columns = np.ascontiguousarray(digits.T)  # column c: the digits of code c
+    # each equation as (log of its coefficient, exponents), zero terms dropped
+    eqs = [
+        [(int(log[field.encode(field.from_int(c))]), exps) for c, exps in eq if c]
+        for eq in equations
+    ]
+    # ylog[e][y - 1] = log(y^e) mod m for every nonzero code y of the last variable
+    ylog = {e: e * log[1:] % m for e in {exps[-1] for eq in eqs for _, exps in eq}}
+    total = 0
+    for outer in product(range(q), repeat=nvars - 1):
+        ok = None
+        for eq in eqs:
+            # digits of the equation at each value of the last variable
+            acc = np.zeros((field.n, q), dtype=np.int64)
+            const = np.zeros(field.n, dtype=np.int64)
+            for c_log, exps in eq:
+                if any(x == 0 and e for x, e in zip(outer, exps)):
+                    continue
+                # log of the coefficient times the outer factors
+                c_log += sum(e * int(log[x]) for x, e in zip(outer, exps) if e)
+                c_log %= m
+                if exps[-1]:
+                    term = np.zeros(q, dtype=np.int64)
+                    term[1:] = exp2[c_log + ylog[exps[-1]]]
+                    acc += np.take(columns, term, axis=1)
+                else:
+                    const += columns[:, exp[c_log]]
+            acc += const[:, None]
+            # a column is zero mod p where the equation vanishes; acc // p * p
+            # because numpy's int64 % is several times slower than //
+            zero_here = np.all(acc == acc // p * p, axis=0)
+            ok = zero_here if ok is None else (ok & zero_here)
+        total += int(np.count_nonzero(ok))
+    return total
 
 
 def _tuples(base, length):

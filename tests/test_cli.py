@@ -296,6 +296,27 @@ def test_huge_enumeration_refused_up_front(capsys, tmp_path):
         assert out == ""
 
 
+def test_frobenius_and_verschiebung_refused_above_their_caps(capsys):
+    cases = [
+        (["witt", "frobenius", "1-2t", "100000"],
+         "frobenius needs nu * degree = 100000 * 1, above the cap 50000"),
+        (["witt", "frobenius", "(1-2t)*(1-3t)", "1000000"],
+         "frobenius needs nu * degree = 1000000 * 2, above the cap 50000"),
+        (["witt", "verschiebung", "1-2t", "10000000"],
+         "verschiebung needs nu * degree = 10000000 * 1, above the cap 1000000"),
+    ]
+    for argv, message in cases:
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, argv)
+        assert time.perf_counter() - start < 0.5
+        assert (code, out, err) == (1, "", f"wittkit: error: {message}\n")
+    # at the caps both still answer
+    code, out, _ = run_cli(capsys, ["witt", "frobenius", "1-t", "50000"])
+    assert code == 0 and out.endswith("\n1 - t\n")
+    code, out, _ = run_cli(capsys, ["witt", "verschiebung", "1-2t", "1000000"])
+    assert code == 0 and out.endswith("\n1 - 2t^1000000\n")
+
+
 def test_packet_above_limit_refused(capsys):
     code, out, err = run_cli(capsys, ["orbits", "packet", "2", "40"])
     assert code == 1

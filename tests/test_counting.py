@@ -121,3 +121,30 @@ def test_json_round_trip():
 def test_make_reduces_coefficients():
     X = AffineVariety.make(5, 1, [[(-1, (2,)), (7, (0,))]])
     assert X.equations == (((4, (2,)), (2, (0,))),)
+
+
+def test_connected_groups():
+    # xy + z^2 + w^2 = 1 over F_p, p = 1 mod 4: p(p^2 - 1) points, from the
+    # histograms of the group {x, y} and of z and w
+    X = AffineVariety.make(13, 4, [[(1, (1, 1, 0, 0)), (1, (0, 0, 2, 0)), (1, (0, 0, 0, 2)), (12, (0, 0, 0, 0))]])
+    assert count_points(X, 1) == 13 * (13**2 - 1)
+    # xy + z^2 + 1 over F_5^2, a free fourth variable and a system with one
+    cases = [
+        AffineVariety.make(5, 3, [[(1, (1, 1, 0)), (1, (0, 0, 2)), (1, (0, 0, 0))]]),
+        AffineVariety.make(3, 4, [[(1, (1, 1, 0, 0)), (2, (0, 0, 1, 0))]]),
+        AffineVariety.make(3, 3, [[(1, (2, 1, 0)), (1, (0, 0, 3))], [(1, (1, 0, 0)), (2, (0, 0, 0))]]),
+    ]
+    for X in cases:
+        assert count_points(X, 1) == brute_force_count(X, 1), X
+    assert count_points(cases[0], 2) == brute_force_count(cases[0], 2)
+
+
+def test_huge_exponents_reduce_before_int64_products():
+    # exponents reduce mod q - 1 (and stay positive, so x^e is 0 at x = 0)
+    # before any int64 product: 2^62 + 1 once wrapped and counted 4
+    X = AffineVariety.make(7, 2, [[(1, (1, 2**62 + 1)), (3, (2, 0)), (1, (0, 0))]])
+    assert count_points(X, 1) == brute_force_count(X, 1) == 6
+    # and 10^20 once failed with "Python int too large to convert to C long"
+    Y = AffineVariety.make(5, 2, [[(1, (1, 10**20)), (1, (0, 0))]])
+    assert count_points(Y, 1) == brute_force_count(Y, 1) == 4
+    assert count_points(Y, 2) == brute_force_count(Y, 2)

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
+    _count_sweep,
     _poly_irreducible_factors,
     brute_force_count,
     count_irreducibles_by_enumeration,
@@ -26,7 +27,7 @@ from oracles import (
     transform_simpson,
 )
 from wittkit.cli import main
-from wittkit.counting import AffineVariety, _count_split, _count_sweep, count_points
+from wittkit.counting import AffineVariety, count_points
 from wittkit.explicit import (
     TestFunction,
     ZeroTable,
@@ -183,7 +184,16 @@ def test_tables_match_reference_multiplication():
             assert list(digits[code]) == [code // p**i % p for i in range(n)]
 
 
-VARIETY_KINDS = ("separable", "free variable", "constant", "mixed monomial", "two equations")
+VARIETY_KINDS = (
+    "separable", "free variable", "constant", "mixed monomial", "two equations",
+    "connected groups",
+)
+
+
+def random_exponent(rng, p):
+    """Mostly small; one in five up to 3 p^3, past the order of the unit
+    group of every field drawn, so that exponents reduce mod q - 1."""
+    return rng.randint(1, 7) if rng.random() < 0.8 else rng.randint(8, 3 * p**3)
 
 
 def random_equation(rng, p, k, kind):
@@ -196,22 +206,29 @@ def random_equation(rng, p, k, kind):
     eq = []
     for _ in range(rng.randint(1, 5)):
         exps = [0] * k
-        exps[rng.choice(mentioned)] = rng.randint(1, 7)
+        exps[rng.choice(mentioned)] = random_exponent(rng, p)
         eq.append((rng.randint(0, p + 2), tuple(exps)))
     if kind == "mixed monomial":
         exps = [rng.randint(1, 3) for _ in range(k)]
         eq.append((rng.randint(1, p - 1), tuple(exps)))
+    if kind == "connected groups":
+        # one or two monomials in a pair of variables, as in xy + z^2
+        for _ in range(rng.randint(1, 2)):
+            exps = [0] * k
+            for v in rng.sample(range(k), 2):
+                exps[v] = random_exponent(rng, p)
+            eq.append((rng.randint(1, p - 1), tuple(exps)))
     if rng.random() < 0.7:
         eq.append((rng.randint(0, p - 1), (0,) * k))
     return eq
 
 
-def test_split_count_matches_sweep_and_enumeration():
+def test_count_matches_sweep_and_enumeration():
     rng = random.Random(property_seed() + 27)
-    for i in range(150):
+    for i in range(180):
         kind = VARIETY_KINDS[i % len(VARIETY_KINDS)]
         p = rng.choice((2, 3, 5, 7, 11))
-        k = rng.randint(2 if kind in ("free variable", "mixed monomial") else 1, 3)
+        k = rng.randint(2 if kind in ("free variable", "mixed monomial", "connected groups") else 1, 3)
         n = rng.randint(1, 3)
         # the sweep runs p^((k-1)n) numpy passes
         while n > 1 and p ** ((k - 1) * n) > 1000:
@@ -220,12 +237,9 @@ def test_split_count_matches_sweep_and_enumeration():
         if kind == "two equations":
             eqs.append(random_equation(rng, p, k, "separable"))
         X = AffineVariety.make(p, k, eqs)
-        field = finite_field_make(p, n)
         got = count_points(X, n)
-        assert got == _count_sweep(field, X.equations, k), (X, n)
-        if kind not in ("mixed monomial", "two equations"):
-            assert _count_split(field, X.equations[0], k) == got, (X, n)
-        if field.q**k <= 200:
+        assert got == _count_sweep(finite_field_make(p, n), X.equations, k), (X, n)
+        if p ** (k * n) <= 200:
             assert got == brute_force_count(X, n), (X, n)
 
 

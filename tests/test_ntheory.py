@@ -1,6 +1,13 @@
 import pytest
 
-from wittkit.ntheory import PRIMALITY_BOUND, factorize, is_prime, primes_upto, sqrt_mod_prime
+from wittkit.ntheory import (
+    PRIMALITY_BOUND,
+    bounded_power,
+    factorize,
+    is_prime,
+    primes_upto,
+    sqrt_mod_prime,
+)
 
 
 def test_sqrt_mod_prime_matches_exhaustive_squares():
@@ -40,3 +47,10 @@ def test_factorize_keeps_certified_prime_cofactors():
         with pytest.raises(ValueError, match=f"limit 1000000 and primality bound "
                                              f"{PRIMALITY_BOUND}: {n}$"):
             factorize(n)
+
+
+def test_bounded_power():
+    assert bounded_power(7, 20, 10**8) == 7**20
+    assert bounded_power(2, 100, 10**8) == 2**100  # above the limit, but within 2^128 of it
+    assert bounded_power(2, 10**9, 10**8) is None
+    assert bounded_power(3, 10**8, 10**7) is None
