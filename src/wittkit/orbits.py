@@ -40,11 +40,6 @@ class FiniteLevelPoint:
     def faithful(self) -> bool:
         return math.gcd(self.a, self.m) == 1
 
-    @property
-    def generator_tag(self) -> str:
-        field = finite_field_make(self.p, self.n)
-        return field.format_element(field.gen)
-
 
 @dataclass(frozen=True)
 class PacketSummary:
@@ -67,34 +62,33 @@ def frobenius_step(P: FiniteLevelPoint) -> FiniteLevelPoint:
     return frobenius_power(P, P.p)
 
 
-def orbit_of(P: FiniteLevelPoint) -> list[FiniteLevelPoint]:
-    """Iterate frobenius_step until the start returns."""
-    orbit = [P]
-    cur = frobenius_step(P)
-    while cur.a != P.a:
+def _orbit(a: int, p: int, m: int) -> list[int]:
+    """The Frobenius walk a, a p, a p^2, ... mod m until a returns."""
+    orbit = [a]
+    cur = a * p % m
+    while cur != a:
         orbit.append(cur)
-        cur = frobenius_step(cur)
+        cur = cur * p % m
     return orbit
 
 
-def _orbit_partition(p: int, n: int) -> list[list[int]]:
-    """Frobenius orbits of the faithful indices, each led by its
-    smallest member, listed in order of that leader."""
-    m = max(p**n - 1, 1)
-    if m == 1:
-        return [[0]]
+def orbit_of(P: FiniteLevelPoint) -> list[FiniteLevelPoint]:
+    """The Frobenius orbit of P, starting at P."""
+    return [FiniteLevelPoint(P.p, P.n, a) for a in _orbit(P.a, P.p, P.m)]
+
+
+def _orbit_partition(p: int, m: int) -> list[list[int]]:
+    """Frobenius orbits of the faithful indices mod m = p^n - 1, each
+    led by its smallest member, listed in order of that leader."""
     seen = bytearray(m)
     orbits = []
-    for a in range(1, m):
-        if seen[a] or math.gcd(a, m) != 1:
-            continue
-        orbit = []
-        cur = a
-        while not seen[cur]:
-            seen[cur] = 1
-            orbit.append(cur)
-            cur = cur * p % m
-        orbits.append(orbit)
+    gcd = math.gcd  # a local name: the loop below runs m times
+    for a in range(m):  # a = 0 is faithful only for m = 1
+        if not seen[a] and gcd(a, m) == 1:
+            orbit = _orbit(a, p, m)
+            for b in orbit:
+                seen[b] = 1
+            orbits.append(orbit)
     return orbits
 
 
@@ -116,21 +110,18 @@ def _packet(p: int, n: int) -> tuple[PacketSummary, list[list[int]]]:
     m = size - 1
     if m > 10**9:
         raise ValueError(f"p^n - 1 = {m} above the 10^9 limit")
-    orbits = _orbit_partition(p, n)
-    expected_len = 1 if m <= 1 else n
+    orbits = _orbit_partition(p, m)
     for orbit in orbits:
-        if len(orbit) != expected_len:
-            raise AssertionError(
-                f"orbit {orbit} of length {len(orbit)}, expected {expected_len}"
-            )
-    faithful = euler_phi(max(m, 1))
-    if len(orbits) * expected_len != faithful:
+        if len(orbit) != n:
+            raise AssertionError(f"orbit {orbit} of length {len(orbit)}, expected {n}")
+    faithful = euler_phi(m)
+    if len(orbits) * n != faithful:
         raise AssertionError("orbit partition does not cover the faithful points")
     summary = PacketSummary(
         p=p,
         n=n,
         orbit_count=len(orbits),
-        orbit_length=expected_len,
+        orbit_length=n,
         suspension_length=n * math.log(p),
         faithful_count=faithful,
     )
@@ -146,6 +137,7 @@ def packet_report(p: int, n: int, list_limit: int = 10**4) -> dict:
     """JSON-ready packet summary; the orbit listing is included only
     when the faithful count stays within list_limit."""
     s, orbits = _packet(p, n)
+    field = finite_field_make(p, n) if p**n <= DEFAULT_FIELD_LIMIT else None
     report = {
         "p": s.p,
         "n": s.n,
@@ -153,9 +145,7 @@ def packet_report(p: int, n: int, list_limit: int = 10**4) -> dict:
         "orbit_length": s.orbit_length,
         "suspension_length": s.suspension_length,
         "faithful_count": s.faithful_count,
-        "generator": FiniteLevelPoint(p, n, 0).generator_tag
-        if p**n <= DEFAULT_FIELD_LIMIT
-        else None,
+        "generator": field.format_element(field.gen) if field else None,
     }
     if s.faithful_count <= list_limit:
         report["orbits"] = orbits

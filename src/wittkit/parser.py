@@ -94,7 +94,18 @@ def _rf_div(a: _RF, b: _RF, pos: int) -> _RF:
     return (a[0] * b[1], a[1] * b[0])
 
 
+# cap on |e| times the size of the base, its degree or, for a constant, the
+# bit length of its coefficients: (1 - t)^1000 parses in about 0.5 s
+POWER_CAP = 1000
+
+
 def _rf_pow(a: _RF, e: int, pos: int) -> _RF:
+    degree = max(a[0].degree, a[1].degree)
+    size = degree or max(abs(c).bit_length() for c in a[0].coeffs + a[1].coeffs)
+    if abs(e) * size > POWER_CAP:
+        what = "degree" if degree else "bits"
+        raise ParseError(f"power needs |exponent| * {what} = {abs(e)} * {size},"
+                         f" above the cap {POWER_CAP}", pos)
     if e < 0:
         return _rf_pow(_rf_div((_one(), _one()), a, pos), -e, pos)
     num, den = _one(), _one()

@@ -37,7 +37,14 @@ constructions that the Newton power-sum routes in wittkit replace:
   quadratic reciprocity (Cohen, A Course in Computational Algebraic
   Number Theory, Alg. 1.4.10), and square_table, the quadratic character
   mod an odd prime read off the list of squares, both instead of
-  Euler's criterion in wittkit.ntheory.kronecker_symbol.
+  Euler's criterion in wittkit.ntheory.kronecker_symbol;
+- _redei_solutions, the Rédei conic search over the whole rectangle
+  |y|, |z| <= bound with a test of x <= bound per candidate, instead of
+  the lattice points of the ellipse p y^2 + l z^2 <= bound^2 in
+  wittkit.reciprocity;
+- _orbit_partition and orbit_of, the Frobenius orbit walks that stop at
+  the first index already seen and step through frobenius_step's
+  FiniteLevelPoint objects, instead of the one walk wittkit.orbits._orbit.
 """
 
 from __future__ import annotations
@@ -52,6 +59,7 @@ import numpy as np
 from wittkit.explicit import TestFunction
 from wittkit.finitefield import _is_irreducible, finite_field_make, monic_polys
 from wittkit.ntheory import factorize
+from wittkit.orbits import FiniteLevelPoint, frobenius_step
 from wittkit.parser import ParseError, _Tokens
 from wittkit.poly import Polynomial
 from wittkit.rings import GF, QQ, ZZ, Ring
@@ -699,3 +707,53 @@ def square_table(p: int) -> list[int]:
     for x in range(1, p):
         table[x * x % p] = 1
     return table
+
+
+def _redei_solutions(p: int, l: int, q: int, bound: int) -> list[tuple[int, int, int]]:
+    """Primitive solutions of x^2 = p y^2 + l z^2 with y even, x > 0,
+    q not dividing z, within |x|, |y|, |z| <= bound."""
+    out = []
+    for z in range(1, bound + 1):
+        if z % q == 0:
+            continue
+        lz2 = l * z * z
+        for y in range(0, bound + 1, 2):
+            x2 = p * y * y + lz2
+            x = math.isqrt(x2)
+            if x * x != x2 or x > bound:
+                continue
+            if math.gcd(math.gcd(x, y), z) != 1:
+                continue
+            out.append((x, y, z))
+    return out
+
+
+def orbit_of(P: FiniteLevelPoint) -> list[FiniteLevelPoint]:
+    """Iterate frobenius_step until the start returns."""
+    orbit = [P]
+    cur = frobenius_step(P)
+    while cur.a != P.a:
+        orbit.append(cur)
+        cur = frobenius_step(cur)
+    return orbit
+
+
+def _orbit_partition(p: int, n: int) -> list[list[int]]:
+    """Frobenius orbits of the faithful indices, each led by its
+    smallest member, listed in order of that leader."""
+    m = max(p**n - 1, 1)
+    if m == 1:
+        return [[0]]
+    seen = bytearray(m)
+    orbits = []
+    for a in range(1, m):
+        if seen[a] or math.gcd(a, m) != 1:
+            continue
+        orbit = []
+        cur = a
+        while not seen[cur]:
+            seen[cur] = 1
+            orbit.append(cur)
+            cur = cur * p % m
+        orbits.append(orbit)
+    return orbits

@@ -317,6 +317,40 @@ def test_frobenius_and_verschiebung_refused_above_their_caps(capsys):
     assert code == 0 and out.endswith("\n1 - 2t^1000000\n")
 
 
+def test_powers_refused_above_the_cap(capsys):
+    """|exponent| times the base's degree, or the bit length of a constant
+    base, is capped before any multiplication; the last two cases ran
+    past 8 s."""
+    cases = [
+        (["witt", "add", "1", "(1-t^2)^-501"],
+         "power needs |exponent| * degree = 501 * 2, above the cap 1000 at position 7"),
+        (["witt", "parse", "1-7^334t"],
+         "power needs |exponent| * bits = 334 * 3, above the cap 1000 at position 3"),
+        (["witt", "mul", "2^99999999", "1"],
+         "power needs |exponent| * bits = 99999999 * 2, above the cap 1000 at position 1"),
+        (["witt", "add", "(1-t)^100000", "1"],
+         "power needs |exponent| * degree = 100000 * 1, above the cap 1000 at position 5"),
+    ]
+    for argv, message in cases:
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, argv)
+        assert time.perf_counter() - start < 0.5
+        assert (code, out, err) == (1, "", f"wittkit: error: {message}\n")
+    # at the cap both kinds still answer
+    code, out, _ = run_cli(capsys, ["witt", "parse", "(1-t)^1000"])
+    assert code == 0 and out.endswith(" - 1000t^999 + t^1000\n")
+    code, out, _ = run_cli(capsys, ["witt", "parse", "1-7^333t"])
+    assert code == 0 and out.endswith(f"\n1 - {7**333}t\n")
+
+
+def test_linking_table_above_cap_refused(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["linking", "table", "--bound", "2000000"])
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (1, "")
+    assert err == "wittkit: error: linking table --bound 2000000 is above the cap 2000\n"
+
+
 def test_packet_above_limit_refused(capsys):
     code, out, err = run_cli(capsys, ["orbits", "packet", "2", "40"])
     assert code == 1

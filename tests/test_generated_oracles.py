@@ -11,7 +11,9 @@ import pytest
 
 from oracles import (
     _count_sweep,
+    _orbit_partition as _orbit_walk,
     _poly_irreducible_factors,
+    _redei_solutions as _redei_rectangle,
     brute_force_count,
     count_irreducibles_by_enumeration,
     field_mul_reference,
@@ -21,6 +23,7 @@ from oracles import (
     is_irreducible_reference,
     is_prime_trial_division,
     kronecker_binary,
+    orbit_of as orbit_of_walk,
     pade_reconstruct_toeplitz,
     parse_witt_reference,
     square_table,
@@ -45,8 +48,10 @@ from wittkit.finitefield import (
     smallest_irreducible,
 )
 from wittkit.ntheory import _PSI, factorize, is_prime, kronecker_symbol, primes_upto
+from wittkit.orbits import FiniteLevelPoint, orbit_of, packet_report
 from wittkit.parser import ParseError, parse_witt
 from wittkit.poly import _GCD_PRIMES, Polynomial, _gcd_primes, _mulmod, _powmod
+from wittkit.reciprocity import REDEI_SEARCH_START, _redei_solutions
 from wittkit.rings import GF, QQ, ZZ
 from wittkit.series import (
     pade_reconstruct,
@@ -624,3 +629,52 @@ def test_poly_ops_match_sympy_and_stay_canonical():
             check(a.gcd(b), g.primitive()[1] if ring == ZZ else g, a, b)
             if not a.is_zero():
                 assert a.gcd(b).degree >= h.degree, (a, b, h)
+
+
+def _admissible_triples(limit):
+    primes = [v for v in primes_upto(limit - 1) if v % 4 == 1]
+    for p, l, q in itertools.combinations(primes, 3):
+        if kronecker_symbol(p, l) == kronecker_symbol(p, q) == kronecker_symbol(l, q) == 1:
+            yield p, l, q
+
+
+def test_redei_search_matches_rectangle():
+    # the windows redei_symbol walks, from REDEI_SEARCH_START up to the
+    # first that holds a solution, then seeded windows up to 256, among
+    # them the x of a solution (x = bound lies on the ellipse) and x - 1
+    rng = random.Random(property_seed() + 41)
+    triples = list(_admissible_triples(400))
+    assert len(triples) == 802
+    for p, l, q in triples:
+        bound = REDEI_SEARCH_START
+        while True:
+            want = _redei_rectangle(p, l, q, bound)
+            assert _redei_solutions(p, l, q, bound) == want, (p, l, q, bound)
+            if want:
+                break
+            bound *= 2
+        extra = {rng.randint(1, 64)}
+        if want[0][0] <= 256:
+            extra |= {want[0][0], want[0][0] - 1}
+        if rng.random() < 0.05:
+            extra.add(rng.randint(65, 256))
+        for bound in extra:
+            assert _redei_solutions(p, l, q, bound) == _redei_rectangle(p, l, q, bound), (
+                p, l, q, bound)
+
+
+def test_orbit_walk_matches_reference_walks():
+    # every level p^n <= 5,000: the packet's listing against the walk that
+    # stops at the first seen index, and orbit_of against the walk through
+    # frobenius_step, at every index of the small levels and seeded ones
+    rng = random.Random(property_seed() + 43)
+    for p in primes_upto(5000):
+        for n in range(1, 13):
+            if p**n > 5000:
+                break
+            m = p**n - 1
+            assert packet_report(p, n)["orbits"] == _orbit_walk(p, n), (p, n)
+            indices = range(m) if m <= 100 else {0, m - 1, *rng.sample(range(m), 3)}
+            for a in indices:
+                P = FiniteLevelPoint(p, n, a)
+                assert orbit_of(P) == orbit_of_walk(P), P

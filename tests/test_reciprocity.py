@@ -4,6 +4,8 @@ import pytest
 
 from wittkit.ntheory import primes_upto
 from wittkit.reciprocity import (
+    LINKING_BOUND_CAP,
+    RedeiTriple,
     legendre,
     linking_table,
     reciprocity_check,
@@ -54,6 +56,14 @@ def test_linking_table_no_violations_to_200():
     assert all(e.relation_ok for e in linking_table(200))
 
 
+def test_linking_table_cap():
+    # at the cap the table still answers: 302 odd primes below 2,000
+    assert LINKING_BOUND_CAP == 2000
+    assert len(linking_table(LINKING_BOUND_CAP)) == 302 * 301
+    with pytest.raises(ValueError, match=r"^linking table --bound 2001 is above the cap 2000$"):
+        linking_table(2001)
+
+
 def test_redei_borromean_triple():
     assert redei_symbol(5, 41, 61) == -1
     detail = redei_symbol(5, 41, 61, details=True)
@@ -89,3 +99,10 @@ def test_redei_scan_finds_known_triples():
     assert table[(5, 29, 109)] == 1
     plus = [row for row in rows if row[3] == 1]
     assert len(plus) == sum(1 for sym in table.values() if sym == 1)
+
+
+def test_redei_large_triple_pinned():
+    # the first window that holds a solution is 8192
+    assert redei_symbol(3001, 3041, 3037, details=True) == RedeiTriple(
+        3001, 3041, 3037, -1, (7555, 128, 51), 3
+    )
