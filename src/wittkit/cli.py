@@ -8,6 +8,11 @@ Exit codes: 0 success, 1 computation error, 2 usage error. The
 argparse tree is built once per process (`build_parser` is cached) and
 reused by every `main` call; parsing keeps no state between calls.
 
+numpy and scipy are imported on first use, inside the library functions
+that need them: `zeta count`, `zeta rational` and `zeta euler` load
+numpy, `explicit-formula run` loads numpy and scipy, and the other
+commands load neither.
+
 Identical invocations produce byte-identical output: no timestamps,
 sorted JSON keys, fixed summation orders in the underlying modules.
 """

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .finitefield import finite_field_make
 from .ntheory import bounded_power, is_prime
 
@@ -142,6 +140,8 @@ def _count(field, equations, nvars: int) -> int:
     by one dot product. Counts stay below q^nvars, so int64 holds them:
     q^2 < 2^63 under the field limit, and three groups pass 2^63 only for
     q > 2*10^6, out of the fold's reach."""
+    import numpy as np
+
     exp, log, digits = field.tables()
     p, q, m = field.p, field.q, field.q - 1
     weights = p ** np.arange(field.n, dtype=np.int64)
@@ -182,6 +182,8 @@ def _histogram(field, s: int, parts, weights, residue):
     later parts to 0. A pass takes assignments of the first s - 1 variables
     as rows and the last one's nonzero codes as columns (a term mentioning it
     is 0 at code 0), so a term is evaluated only over the axes it mentions."""
+    import numpy as np
+
     exp, log, digits = field.tables()
     q, m = field.q, field.q - 1
     rows, outer = max(1, _CHUNK // q), q ** (s - 1)
@@ -215,6 +217,8 @@ def _histogram(field, s: int, parts, weights, residue):
 
 def _convolve(f, g, digits, weights, p: int):
     """out[c] = sum over a + b = c of f[a] g[b], over element codes."""
+    import numpy as np
+
     out = np.zeros_like(g)
     for a in np.flatnonzero(f):
         # b -> a + b permutes the codes, so no index repeats

@@ -15,6 +15,10 @@ doubling, so a column's value is the one `transform` gives. A block has
 at most QUAD_BLOCK_ROWS columns, set by the byte budget QUAD_BLOCK_BYTES.
 The values are cached per (bump, table) for the last
 ZERO_SIDE_CACHE_BUMPS bumps; every K slices the same array.
+
+numpy is imported on first use by the functions that evaluate on arrays,
+and scipy only on a miss of `_gl_nodes`' cache, so `explicit-formula run`
+is the one command that loads scipy.
 """
 
 from __future__ import annotations
@@ -23,9 +27,6 @@ import functools
 import math
 from dataclasses import dataclass
 from importlib import resources
-
-import numpy as np
-from scipy.special import roots_legendre
 
 from .ntheory import primes_upto
 from .util import kahan_sum
@@ -60,12 +61,16 @@ class TestFunction:
             raise ValueError("radius must be positive")
         if self.c - self.r <= 0:
             raise ValueError("support must lie inside the positive reals")
+        if not (math.isfinite(self.c) and math.isfinite(self.r)):
+            raise ValueError(f"bump c and r must be finite numbers, got {self.c!r},{self.r!r}")
 
     @property
     def support(self) -> tuple[float, float]:
         return (self.c - self.r, self.c + self.r)
 
     def values(self, t: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         u = (np.asarray(t, dtype=np.float64) - self.c) / self.r
         inside = np.abs(u) < 1
         safe = np.where(inside, 1.0 - u * u, 1.0)
@@ -129,6 +134,8 @@ def load_bundled_zeros() -> ZeroTable:
 @functools.lru_cache(maxsize=(QUAD_MAX_NODES // QUAD_START_NODES).bit_length())
 def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights; one entry per doubling level."""
+    from scipy.special import roots_legendre
+
     x, w = roots_legendre(n)
     x.flags.writeable = w.flags.writeable = False
     return x, w
@@ -141,28 +148,37 @@ def _quad_doubling(vec_f, a: float, b: float):
     `vec_f(t)` gives the integrand at the nodes t, shape (n,) for one
     integral (returned as float or complex) or (m, n) for a block of m
     (returned as an array). Each row keeps the value of its own first
-    agreeing doubling; the loop ends when every row has one."""
+    agreeing doubling; the loop ends when every row has one. A row still
+    open with a non-finite value (e^{t alpha} past the float range) can
+    never agree, so it raises at once instead of doubling on."""
+    import numpy as np
+
     mid, half = (a + b) / 2, (b - a) / 2
     prev = None
     n = QUAD_START_NODES
-    while n <= QUAD_MAX_NODES:
-        x, w = _gl_nodes(n)
-        val = half * np.sum(w * vec_f(mid + half * x), axis=-1)
-        if prev is None:
-            out, done = val, np.zeros(np.shape(val), dtype=bool)
-        else:
-            agree = ~done & (np.abs(val - prev) < QUAD_REL_TOL * np.maximum(1.0, np.abs(val)))
-            out = np.where(agree, val, out)
-            done = done | agree
-            if done.all():
-                return out.item() if out.ndim == 0 else out
-        prev = val
-        n *= 2
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by the raise below
+        while n <= QUAD_MAX_NODES:
+            x, w = _gl_nodes(n)
+            val = half * np.sum(w * vec_f(mid + half * x), axis=-1)
+            if prev is None:
+                out, done = val, np.zeros(np.shape(val), dtype=bool)
+            if not (done | np.isfinite(val)).all():
+                raise RuntimeError(
+                    f"quadrature over the support [{a!r}, {b!r}] is not finite at {n} nodes")
+            if prev is not None:
+                agree = ~done & (np.abs(val - prev) < QUAD_REL_TOL * np.maximum(1.0, np.abs(val)))
+                out = np.where(agree, val, out)
+                done = done | agree
+                if done.all():
+                    return out.item() if out.ndim == 0 else out
+            prev = val
+            n *= 2
     raise RuntimeError(f"quadrature did not converge within {QUAD_MAX_NODES} nodes")
 
 
 def _transform_integrand(phi: TestFunction, alpha):
     """t -> e^{t alpha} phi(t); alpha is a complex or an (m, 1) column."""
+    import numpy as np
 
     def integrand(t: np.ndarray) -> np.ndarray:
         z = t * alpha
@@ -183,6 +199,8 @@ def transform(phi: TestFunction, alpha: complex) -> complex:
 def _zero_transforms(phi: TestFunction, zeros: ZeroTable) -> np.ndarray:
     """Phi at 0, 1, then 1/2 + i gamma and 1/2 - i gamma for each gamma of
     the table, integrated in blocks of QUAD_BLOCK_ROWS neighbouring alphas."""
+    import numpy as np
+
     gammas = np.asarray(zeros.gammas, dtype=np.float64)
     alphas = np.zeros(2 * len(gammas) + 2, dtype=np.complex128)
     alphas[1] = 1.0
@@ -220,6 +238,8 @@ def zero_side(phi: TestFunction, zeros: ZeroTable, K: int) -> float:
 def prime_side(phi: TestFunction, prime_bound: int) -> float:
     """sum over p <= bound and k >= 1 of log p * phi(k log p), plus the
     archimedean integral of phi(t)/(1 - e^{-2t}) over the support."""
+    import numpy as np
+
     lo, hi = phi.support
     if math.log(prime_bound) < hi:
         raise ValueError(

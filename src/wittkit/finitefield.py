@@ -20,8 +20,6 @@ import functools
 import math
 from typing import Iterator
 
-import numpy as np
-
 from .ntheory import bounded_power, factorize, is_prime
 from .poly import Polynomial, _frobenius_gcd, _mulmod, _powmod, format_poly
 from .rings import GF
@@ -185,6 +183,8 @@ class FiniteField:
         digits[c] is the element with code c as a row of n coefficients.
         All int64 and read-only."""
         if self._tables is None:
+            import numpy as np
+
             p, n, q = self.p, self.n, self.q
             exp = np.empty(q - 1, dtype=np.int64)
             cur = self.one

@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .counting import AffineVariety, count_points
 from .ntheory import factorize, is_prime, kronecker_symbol, primes_upto
 from .poly import Polynomial, _divmod_mod, _frobenius_gcd
@@ -354,6 +352,8 @@ def euler_vs_ruelle(
 
 def zeta_reference(s: float) -> float:
     """sum_{n<=10^6} n^{-s} in double precision."""
+    import numpy as np
+
     n = np.arange(1, 10**6 + 1, dtype=np.float64)
     return float(np.sum(n ** (-s)))
 
@@ -364,6 +364,8 @@ def ulp_distance(a: float, b: float) -> int:
         return 0
     if (a < 0) != (b < 0):
         raise ValueError("ulp distance across zero is not meaningful here")
+    import numpy as np
+
     ia = np.float64(a).view(np.int64)
     ib = np.float64(b).view(np.int64)
     return abs(int(ia) - int(ib))

@@ -426,3 +426,22 @@ def test_nan_s_refused(capsys):
     assert "s must be > 1" in err
     assert "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize("bump, message", [
+    ("nan,1", "bump c and r must be finite numbers, got nan,1.0"),
+    ("2,nan", "bump c and r must be finite numbers, got 2.0,nan"),
+    ("inf,1", "bump c and r must be finite numbers, got inf,1.0"),
+    ("1500,1", "quadrature over the support [1499.0, 1501.0] is not finite at 32 nodes"),
+    ("1e300,1", "quadrature over the support [1e+300, 1e+300] is not finite at 32 nodes"),
+])
+def test_unusable_bump_refused_fast(capsys, bump, message):
+    """A non-finite c or r is refused when the bump is built; a finite bump
+    whose e^{t alpha} overflows is refused at the first quadrature level.
+    None of them can converge, so the node doubling must not climb on."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["explicit-formula", "run", "--bump", bump])
+    assert time.perf_counter() - start < 2.0
+    assert code == 1
+    assert err == f"wittkit: error: {message}\n"  # one line, no traceback
+    assert out == ""

@@ -31,6 +31,9 @@ def test_bump_validation():
         TestFunction(1.0, 1.5)
     with pytest.raises(ValueError, match="radius"):
         TestFunction(3.0, 0.0)
+    for c, r in ((math.nan, 1.0), (2.0, math.nan), (math.inf, 1.0)):
+        with pytest.raises(ValueError, match="must be finite"):
+            TestFunction(c, r)
 
 
 def test_transform_frozen_values():
