@@ -8,13 +8,13 @@ integrator in tests/oracles.py is the independent cross-check.
 Truncation is raw: K zeros, primes up to the bound, no smoothing
 factors.
 
-The zero side integrates its 2 * len(table) + 2 transforms in blocks of
-neighbouring alphas, one column each, through the same doubling loop as
-a single transform. Each column stops at its own first agreeing
-doubling, so a column's value is the one `transform` gives. A block has
-at most QUAD_BLOCK_ROWS columns, set by the byte budget QUAD_BLOCK_BYTES.
-The values are cached per (bump, table) for the last
-ZERO_SIDE_CACHE_BUMPS bumps; every K slices the same array.
+The zero side integrates the len(table) + 2 transforms at 0, 1 and
+1/2 + i gamma in blocks of at most QUAD_BLOCK_ROWS alphas (the byte
+budget QUAD_BLOCK_BYTES) through the doubling loop of one transform;
+each column stops at its own first agreeing doubling, so its value is
+the one `transform` gives. Phi(1/2 - i gamma) is bitwise the conjugate
+of Phi(1/2 + i gamma); one spot block of conjugates checks that the
+imaginary parts cancel. Values are cached for ZERO_SIDE_CACHE_BUMPS bumps.
 
 numpy is imported on first use by the functions that evaluate on arrays,
 and scipy only on a miss of `_gl_nodes`' cache, so `explicit-formula run`
@@ -40,10 +40,9 @@ QUAD_REL_TOL = 1e-12
 # up to 0.9 and the bundled zeros converge by 2,048 nodes (512 KiB).
 QUAD_BLOCK_BYTES = 16 * 2**20
 QUAD_BLOCK_ROWS = QUAD_BLOCK_BYTES // (QUAD_MAX_NODES * 16)
-# Bumps whose zero-side transforms stay cached, 32 KiB each for the
-# bundled table. A 45 s witt-explicit benchmark run draws 90-102 distinct
-# cold bumps and repeats any earlier one, so fewer entries would turn
-# repeats into misses.
+# Bumps whose zero-side transforms stay cached, 16 KiB each for the
+# bundled table. A witt-explicit benchmark run repeats any earlier bump
+# of its run, so fewer entries would turn repeats into misses.
 ZERO_SIDE_CACHE_BUMPS = 128
 
 
@@ -197,21 +196,27 @@ def transform(phi: TestFunction, alpha: complex) -> complex:
 
 @functools.lru_cache(maxsize=ZERO_SIDE_CACHE_BUMPS)
 def _zero_transforms(phi: TestFunction, zeros: ZeroTable) -> np.ndarray:
-    """Phi at 0, 1, then 1/2 + i gamma and 1/2 - i gamma for each gamma of
-    the table, integrated in blocks of QUAD_BLOCK_ROWS neighbouring alphas."""
+    """Phi at 0, 1 and 1/2 + i gamma for each gamma, in blocks of
+    QUAD_BLOCK_ROWS alphas; a spot block of 1/2 - i gamma for the last
+    QUAD_BLOCK_ROWS gammas (all of a shorter table) checks the residue."""
     import numpy as np
 
     gammas = np.asarray(zeros.gammas, dtype=np.float64)
-    alphas = np.zeros(2 * len(gammas) + 2, dtype=np.complex128)
+    alphas = np.zeros(len(gammas) + 2, dtype=np.complex128)
     alphas[1] = 1.0
     alphas[2:].real = 0.5
-    alphas[2::2].imag = gammas
-    alphas[3::2].imag = -gammas
+    alphas[2:].imag = gammas
     a, b = phi.support
     values = np.concatenate([
         _quad_doubling(_transform_integrand(phi, alphas[i:i + QUAD_BLOCK_ROWS, None]), a, b)
         for i in range(0, len(alphas), QUAD_BLOCK_ROWS)
     ])
+    spot = alphas[2:][-QUAD_BLOCK_ROWS:]
+    pairs = values[2:][-QUAD_BLOCK_ROWS:] + _quad_doubling(
+        _transform_integrand(phi, spot.conj()[:, None]), a, b)
+    im = kahan_sum([float((values[0] + values[1]).imag)] + (-pairs.imag).tolist())
+    if abs(im) >= 1e-10:
+        raise AssertionError(f"zero side imaginary residue {im} above 1e-10")
     values.flags.writeable = False
     return values
 
@@ -219,20 +224,13 @@ def _zero_transforms(phi: TestFunction, zeros: ZeroTable) -> np.ndarray:
 def zero_side(phi: TestFunction, zeros: ZeroTable, K: int) -> float:
     """Phi(0) + Phi(1) - sum over the first K zeros of Phi at 1/2 +- i gamma.
 
-    Both members of each conjugate pair are integrated independently;
-    the imaginary residue must stay below 1e-10 and is then dropped.
-    The transforms for the whole table are integrated once per bump and
-    cached, so every K up to the table size slices the same values."""
+    Each pair is 2 Re Phi(1/2 + i gamma); `_zero_transforms` checks that
+    the imaginary parts cancel. The whole table is integrated once per
+    bump and cached, so every K up to the table size slices one array."""
     if K < 0 or K > len(zeros):
         raise ValueError(f"K must be between 0 and the table size {len(zeros)}")
     values = _zero_transforms(phi, zeros)
-    total = values[0] + values[1]
-    pairs = values[2:2 * K + 2:2] + values[3:2 * K + 3:2]
-    re = kahan_sum([float(total.real)] + (-pairs.real).tolist())
-    im = kahan_sum([float(total.imag)] + (-pairs.imag).tolist())
-    if abs(im) >= 1e-10:
-        raise AssertionError(f"zero side imaginary residue {im} above 1e-10")
-    return re
+    return kahan_sum([float((values[0] + values[1]).real)] + (-2 * values[2:K + 2].real).tolist())
 
 
 def prime_side(phi: TestFunction, prime_bound: int) -> float:

@@ -4,6 +4,7 @@ import pytest
 
 from oracles import adaptive_simpson, transform_simpson
 from wittkit import explicit
+from wittkit.cli import main
 from wittkit.explicit import (
     QUAD_BLOCK_ROWS,
     TestFunction,
@@ -15,6 +16,7 @@ from wittkit.explicit import (
     transform,
     zero_side,
 )
+from wittkit.util import kahan_sum
 
 
 def test_bump_shape():
@@ -135,10 +137,62 @@ def test_defect_integrates_the_zero_side_once(monkeypatch):
     explicit._zero_transforms.cache_clear()
     phi = TestFunction(1.5, 0.7)
     zeros = load_bundled_zeros()
-    # K and the K = 10, 100, 1000 rows share one blocked zero side; the
-    # extra call is the archimedean integral of the prime side
-    blocks = math.ceil((2 * len(zeros) + 2) / QUAD_BLOCK_ROWS)
+    # K and the K = 10, 100, 1000 rows share one blocked zero side, which
+    # integrates Phi at 0, 1 and 1/2 + i gamma plus one spot block of
+    # conjugates; the last call is the archimedean integral of the prime side
+    blocks = math.ceil((len(zeros) + 2) / QUAD_BLOCK_ROWS)
     explicit_formula_defect(phi, zeros, 10, 10**4)
-    assert len(calls) == blocks + 1
+    assert len(calls) == blocks + 1 + 1
     explicit_formula_defect(phi, zeros, 10, 10**5)
-    assert len(calls) == blocks + 2
+    assert len(calls) == blocks + 1 + 2
+
+
+def test_zero_side_residue_check_fires(monkeypatch, capsys):
+    integrand = explicit._transform_integrand
+
+    def skewed(phi, alpha):
+        f = integrand(phi, alpha)
+        # rows with Im alpha < 0 gain 1e-9j: the conjugates no longer cancel
+        return lambda t: f(t) + 1e-9j * (alpha.imag < 0)
+
+    monkeypatch.setattr(explicit, "_transform_integrand", skewed)
+    explicit._zero_transforms.cache_clear()
+    phi = TestFunction(1.5, 0.7)
+    with pytest.raises(AssertionError, match="^zero side imaginary residue .* above 1e-10$"):
+        zero_side(phi, load_bundled_zeros(), 10)
+    argv = ["explicit-formula", "run", "--bump", "1.5,0.7", "--max-zeros", "10"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("wittkit: error: zero side imaginary residue ")
+    assert err.endswith(" above 1e-10\n") and "Traceback" not in err
+
+
+def test_short_table_spot_block_and_pair_sums(monkeypatch, tmp_path):
+    path = tmp_path / "z3.txt"
+    path.write_text("".join(f"{g!r}\n" for g in load_bundled_zeros().gammas[:3]))
+    zeros = load_zeros(path)
+    assert len(zeros) == 3 < QUAD_BLOCK_ROWS
+    integrand = explicit._transform_integrand
+    columns = []
+
+    def recorded(phi, alpha):
+        columns.append(alpha)
+        return integrand(phi, alpha)
+
+    monkeypatch.setattr(explicit, "_transform_integrand", recorded)
+    explicit._zero_transforms.cache_clear()
+    phi = TestFunction(2.0, 0.5)
+    sides = [zero_side(phi, zeros, K) for K in range(4)]
+    # one block of Phi(0), Phi(1) and the three 1/2 + i gamma, then the spot
+    # block of the three conjugates and no row at 0 or 1
+    assert len(columns) == 2
+    assert columns[1].ravel().tolist() == [0.5 - 1j * g for g in zeros.gammas]
+    monkeypatch.undo()
+    explicit._zero_transforms.cache_clear()
+    total = transform(phi, 0.0) + transform(phi, 1.0)
+    pairs = [transform(phi, 0.5 + 1j * g) + transform(phi, 0.5 - 1j * g) for g in zeros.gammas]
+    for K in range(4):
+        expected = kahan_sum([total.real] + [-pair.real for pair in pairs[:K]])
+        assert sides[K] == expected, K
+    assert main(["explicit-formula", "run", "--zeros", str(path), "--max-zeros", "3"]) == 0

@@ -261,9 +261,14 @@ def test_batched_transforms_match_one_column_route():
         # zeros drawn from the whole table, so one block mixes columns that
         # converge at different doublings
         zeros = ZeroTable(tuple(sorted(rng.sample(bundled, 150))))
-        alphas = [0.0, 1.0] + [a for g in zeros.gammas for a in (0.5 + 1j * g, 0.5 - 1j * g)]
-        batched = _zero_transforms(phi, zeros).tolist()
-        assert len(batched) == len(alphas)
+        # the batch holds Phi(1/2 + i gamma) only; its conjugate must equal
+        # Phi(1/2 - i gamma) integrated on its own, exactly
+        rows = _zero_transforms(phi, zeros).tolist()
+        assert len(rows) == len(zeros) + 2
+        alphas, batched = [0.0, 1.0], rows[:2]
+        for g, value in zip(zeros.gammas, rows[2:]):
+            alphas += [0.5 + 1j * g, 0.5 - 1j * g]
+            batched += [value, value.conjugate()]
         for alpha, value in zip(alphas, batched):
             assert value == transform(phi, alpha), (phi, alpha)
         low = [k for k, a in enumerate(alphas) if abs(complex(a).imag) < 250]
