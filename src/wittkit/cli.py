@@ -3,10 +3,11 @@
 Subcommands: witt, zeta, orbits, explicit-formula, linking, redei,
 product-formula. Every run echoes its resolved configuration; output
 goes to stdout or --out. Formats: plain (default), json (validates
-against schemas/cli_output.schema.json), csv (tabular results only).
-Exit codes: 0 success, 1 computation error, 2 usage error. The
-argparse tree is built once per process (`build_parser` is cached) and
-reused by every `main` call; parsing keeps no state between calls.
+against schemas/cli_output.schema.json), csv (tabular results only);
+`_render` builds only the format asked for. Exit codes: 0 success, 1
+computation error, 2 usage error. The argparse tree is built once per
+process (`build_parser` is cached) and reused by every `main` call;
+parsing keeps no state between calls.
 
 numpy and scipy are imported on first use, inside the library functions
 that need them: `zeta count`, `zeta rational` and `zeta euler` load
@@ -33,7 +34,14 @@ from . import witt as wmod
 from .poly import Polynomial, format_poly
 from .rings import GF, QQ
 
-TABULAR_COMMANDS = {"linking table", "zeta ledger"}
+# tabular command -> (result key of its rows, column names in row order,
+# whether plain output prints the column names); `_render` expands the
+# rows once, into a dict per row, csv rows or plain lines
+TABULAR_COMMANDS = {
+    "linking table": ("rows", ("p", "l", "p_mod4", "l_mod4", "sym_pl", "sym_lp", "relation_ok"),
+                      True),
+    "zeta ledger": ("entries", ("norm", "length", "multiplicity"), False),
+}
 
 
 def _common_flags(sub: argparse.ArgumentParser) -> None:
@@ -68,31 +76,28 @@ def _parse_coeff_list(text: str) -> list[int]:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
-# each handler returns (result_object, plain_lines, csv_rows_or_None)
+# each handler returns (result_object, plain_lines); a tabular one returns
+# its rows as tuples under its TABULAR_COMMANDS key and None for the lines
 
 def _run_witt(args) -> tuple:
     op = args.verb
+    f = wparser.parse_witt(args.series[0])
+    if op == "ghost":
+        values = [f.ring.to_json(g) for g in wmod.ghost(f, args.order)]
+        return {"ghost": values}, [" ".join(str(v) for v in values)]
+    if op == "project":
+        value = f.ring.to_json(wmod.canonical_projection(f))
+        return {"value": value}, [str(value)]
     if op in ("add", "mul", "sub"):
-        f, g = wparser.parse_witt(args.series[0]), wparser.parse_witt(args.series[1])
+        g = wparser.parse_witt(args.series[1])
         if f.ring != g.ring:  # an integral text parses over Z, the other over Q
             f, g = f.map_ring(QQ), g.map_ring(QQ)
         w = {"add": wmod.witt_add, "mul": wmod.witt_mul, "sub": wmod.witt_sub}[op](f, g)
-        return _witt_result(w), [_pretty_witt(w)], None
-    f = wparser.parse_witt(args.series[0])
-    if op in ("parse", "neg"):
+    elif op in ("frobenius", "verschiebung"):
+        w = (wmod.frobenius if op == "frobenius" else wmod.verschiebung)(f, args.nu)
+    else:
         w = f if op == "parse" else wmod.witt_neg(f)
-        return _witt_result(w), [_pretty_witt(w)], None
-    if op in ("frobenius", "verschiebung"):
-        fn = wmod.frobenius if op == "frobenius" else wmod.verschiebung
-        w = fn(f, args.nu)
-        return _witt_result(w), [_pretty_witt(w)], None
-    if op == "ghost":
-        values = [f.ring.to_json(g) for g in wmod.ghost(f, args.order)]
-        return {"ghost": values}, [" ".join(str(v) for v in values)], None
-    if op == "project":
-        value = f.ring.to_json(wmod.canonical_projection(f))
-        return {"value": value}, [str(value)], None
-    raise AssertionError(op)
+    return _witt_result(w), [_pretty_witt(w)]
 
 
 def _load_variety(path: str) -> counting.AffineVariety:
@@ -105,7 +110,7 @@ def _run_zeta(args) -> tuple:
         X = _load_variety(args.variety)
         count = counting.count_points(X, args.n, cap=args.cap)
         result = {"p": X.p, "n": args.n, "count": count}
-        return result, [f"points over F_{X.p}^{args.n}: {count}"], None
+        return result, [f"points over F_{X.p}^{args.n}: {count}"]
     if args.verb == "rational":
         if args.max_n < 1:
             raise ValueError(f"--max-n must be >= 1, got {args.max_n}")
@@ -117,19 +122,11 @@ def _run_zeta(args) -> tuple:
         result = _witt_result(w)
         result["counts"] = list(table.counts)
         lines = [_pretty_witt(w), "counts: " + " ".join(str(c) for c in table.counts)]
-        return result, lines, None
+        return result, lines
     if args.verb == "ledger":
         ledger = zeta.closed_points(args.source, args.bound)
-        entries = [
-            {"norm": e.norm, "length": e.length, "multiplicity": e.multiplicity}
-            for e in ledger.entries
-        ]
-        result = {"source": ledger.source, "bound": ledger.bound, "entries": entries}
-        lines = [f"{e.norm} {e.length!r} {e.multiplicity}" for e in ledger.entries]
-        rows = [["norm", "length", "multiplicity"]] + [
-            [e.norm, repr(e.length), e.multiplicity] for e in ledger.entries
-        ]
-        return result, lines, rows
+        entries = [(e.norm, e.length, e.multiplicity) for e in ledger.entries]
+        return {"source": ledger.source, "bound": ledger.bound, "entries": entries}, None
     if args.verb == "euler":
         ledger = zeta.closed_points(args.source, args.bound)
         euler, ruelle = zeta.euler_vs_ruelle(ledger, args.s, args.bound)
@@ -142,7 +139,7 @@ def _run_zeta(args) -> tuple:
             "gap": abs(euler - reference),
         }
         lines = [f"{k} = {v!r}" for k, v in result.items()]
-        return result, lines, None
+        return result, lines
     raise AssertionError(args.verb)
 
 
@@ -154,7 +151,7 @@ def _run_orbits(args) -> tuple:
         f"orbits: {report['orbit_count']} of length {report['orbit_length']}",
         f"suspension length: {report['suspension_length']!r}",
     ]
-    return report, lines, None
+    return report, lines
 
 
 def _run_explicit(args) -> tuple:
@@ -168,18 +165,11 @@ def _run_explicit(args) -> tuple:
         f"prime side = {report['prime_side']!r}",
         f"defect     = {report['defect']!r}",
     ] + [f"K={row['K']}: defect {row['defect']!r}" for row in report["convergence"]]
-    return report, lines, None
+    return report, lines
 
 
 def _run_linking(args) -> tuple:
-    table = reciprocity.linking_table(args.bound)
-    rows = [["p", "l", "p_mod4", "l_mod4", "sym_pl", "sym_lp", "relation_ok"]] + [
-        [e.p, e.l, e.p_mod4, e.l_mod4, e.symbol_pl, e.symbol_lp, e.relation_ok]
-        for e in table
-    ]
-    result = {"bound": args.bound, "rows": [dict(zip(rows[0], row)) for row in rows[1:]]}
-    lines = [" ".join(str(c) for c in row) for row in rows]
-    return result, lines, rows
+    return {"bound": args.bound, "rows": reciprocity.linking_table(args.bound)}, None
 
 
 def _run_redei(args) -> tuple:
@@ -194,7 +184,7 @@ def _run_redei(args) -> tuple:
         f"redei({args.p}, {args.l}, {args.q}) = {symbol}",
         "solution (x, y, z) = {} {} {}".format(*detail.solution),
     ]
-    return result, lines, None
+    return result, lines
 
 
 def _run_product_formula(args) -> tuple:
@@ -211,14 +201,14 @@ def _run_product_formula(args) -> tuple:
             "scale": zeta.product_formula_scale(value),
         }
         lines = [f"{k} = {v}" for k, v in result.items()]
-        return result, lines, None
+        return result, lines
     ring = GF(args.p)
     num_coeffs, den_coeffs = _parse_coeff_list(args.num), _parse_coeff_list(args.den)
     num = Polynomial(ring, num_coeffs)
     den = Polynomial(ring, den_coeffs)
     total = zeta.function_field_product_formula(num, den)
     result = {"p": args.p, "num": num_coeffs, "den": den_coeffs, "sum": total}
-    return result, [f"weighted order sum = {total}"], None
+    return result, [f"weighted order sum = {total}"]
 
 
 @functools.lru_cache(maxsize=1)
@@ -336,10 +326,13 @@ def _config_dict(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def _render(args, result, plain_lines, csv_rows) -> str:
+def _render(args, result, plain_lines) -> str:
     name = _command_name(args)
     config = _config_dict(args)
+    key, columns, plain_columns = TABULAR_COMMANDS.get(name, (None, (), False))
     if args.format == "json":
+        if key:
+            result = {**result, key: [dict(zip(columns, row)) for row in result[key]]}
         doc = {"command": name, "config": config, "result": result}
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     header = [f"# wittkit {name}"]
@@ -349,8 +342,12 @@ def _render(args, result, plain_lines, csv_rows) -> str:
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerows(csv_rows)
+        writer.writerow(columns)
+        writer.writerows(result[key])
         return "\n".join(header) + "\n" + buf.getvalue()
+    if key:
+        plain_lines = [" ".join(columns)] if plain_columns else []
+        plain_lines += [" ".join(map(str, row)) for row in result[key]]
     return "\n".join(header + plain_lines) + "\n"
 
 
@@ -366,16 +363,15 @@ def main(argv=None) -> int:
         )
         return 2
     try:
-        result, plain_lines, csv_rows = args.func(args)
-        text = _render(args, result, plain_lines, csv_rows)
+        text = _render(args, *args.func(args))
+        if args.out == "-":
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w") as fh:
+                fh.write(text)
     except (ValueError, RuntimeError, AssertionError, ArithmeticError, OSError) as exc:
         print(f"wittkit: error: {exc}", file=sys.stderr)
         return 1
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
     return 0
 
 

@@ -236,6 +236,8 @@ def zero_side(phi: TestFunction, zeros: ZeroTable, K: int) -> float:
 def prime_side(phi: TestFunction, prime_bound: int) -> float:
     """sum over p <= bound and k >= 1 of log p * phi(k log p), plus the
     archimedean integral of phi(t)/(1 - e^{-2t}) over the support."""
+    if prime_bound <= 0:
+        raise ValueError(f"prime bound must be positive, got {prime_bound}")
     import numpy as np
 
     lo, hi = phi.support
@@ -272,6 +274,8 @@ def explicit_formula_defect(
     used = max(K, 1000)
     if len(zeros) > used:
         zeros = ZeroTable(zeros.gammas[:used])
+    if prime_bound <= 0:  # refused by name before the zero side integrates
+        prime_side(phi, prime_bound)
     zs = zero_side(phi, zeros, K)
     ps = prime_side(phi, prime_bound)
     report = {

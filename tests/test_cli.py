@@ -1,7 +1,9 @@
+import csv
 import json
 import os
 import time
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -198,6 +200,56 @@ def test_byte_identical_runs(capsys):
         assert code == 0
         outputs.append(out)
     assert outputs[2] == outputs[3]
+
+
+def test_out_to_unwritable_path_refused(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, ["witt", "parse", "1-t", "--out", str(target)])
+    assert (code, out) == (1, "")
+    assert err == f"wittkit: error: [Errno 2] No such file or directory: '{target}'\n"
+    assert not target.parent.exists()
+
+
+class _Forbidden(Exception):
+    pass
+
+
+def _forbidden(*args, **kwargs):
+    raise _Forbidden
+
+
+def test_no_format_builds_another_formats_text(capsys, tmp_path, monkeypatch):
+    """json.dumps runs only for json and csv.writer only for csv, and a
+    tabular handler hands its rows to the renderer as tuples, with no
+    lines; every run still prints the golden render grid's bytes."""
+    grid = json.loads((Path(__file__).parent / "data" / "golden_render.json").read_text())
+    monkeypatch.chdir(tmp_path)
+    for name, data in grid["varieties"].items():
+        Path(name).write_text(json.dumps(data))
+    golden = {tuple(c["argv"]): (c["exit"], c["stdout"], c["stderr"]) for c in grid["cases"]}
+    argvs = {}  # the first successful argv of each command
+    plain = [c["argv"][:-2] for c in grid["cases"]
+             if c["argv"][-2:] == ["--format", "plain"] and c["exit"] == 0]
+    for argv in plain + grid["numeric"]:
+        argvs.setdefault(cli._command_name(cli.build_parser().parse_args(argv)), argv)
+    assert len(argvs) == 19
+    for name, argv in argvs.items():
+        tabular = name in cli.TABULAR_COMMANDS
+        for fmt in ("plain", "json", "csv") if tabular else ("plain", "json"):
+            full = argv + ["--format", fmt]
+            want = golden.get(tuple(full)) or run_cli(capsys, full)
+            assert want[0] == 0, full
+            with monkeypatch.context() as m:
+                if fmt != "json":
+                    m.setattr(json, "dumps", _forbidden)
+                if fmt != "csv":
+                    m.setattr(csv, "writer", _forbidden)
+                assert run_cli(capsys, full) == want, full
+        if tabular:
+            args = cli.build_parser().parse_args(argv)
+            key = cli.TABULAR_COMMANDS[name][0]
+            result, lines = args.func(args)
+            assert lines is None and all(isinstance(row, tuple) for row in result[key])
 
 
 def test_out_writes_file(capsys, tmp_path):

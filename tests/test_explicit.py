@@ -108,6 +108,20 @@ def test_prime_side_bound_check():
     assert prime_side(phi, 60) == prime_side(phi, 10**4)  # tail terms vanish
 
 
+@pytest.mark.parametrize("bound", [0, -5])
+def test_non_positive_prime_bound_refused_before_any_quadrature(monkeypatch, capsys, bound):
+    calls = []
+    monkeypatch.setattr(explicit, "_quad_doubling", lambda *args: calls.append(args))
+    explicit._zero_transforms.cache_clear()
+    code = main(["explicit-formula", "run", "--max-zeros", "10",
+                 "--prime-bound", str(bound)])
+    assert (code, capsys.readouterr()) == (
+        1, ("", f"wittkit: error: prime bound must be positive, got {bound}\n"))
+    assert calls == []
+    with pytest.raises(ValueError, match=f"must be positive, got {bound}"):
+        prime_side(TestFunction(1.5, 0.7), bound)
+
+
 def test_explicit_formula_small_run():
     phi = TestFunction(1.5, 0.7)
     zeros = load_bundled_zeros()

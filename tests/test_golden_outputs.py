@@ -25,6 +25,13 @@ from wittkit.cli import main
 DATA = Path(__file__).parent / "data"
 GOLDEN = json.loads((DATA / "golden_exact.json").read_text())
 ZETA_GRID = json.loads((DATA / "golden_zeta_grid.json").read_text())
+RENDER_GRID = json.loads((DATA / "golden_render.json").read_text())
+# the values each numpy-valued command prints, one per plain line, in order
+NUMERIC_VALUES = {
+    "explicit-formula run": lambda r: [r["zero_side"], r["prime_side"], r["defect"]]
+    + [row["defect"] for row in r["convergence"]],
+    "zeta euler": lambda r: [r[k] for k in ("euler", "ruelle", "ulps", "reference", "gap")],
+}
 
 
 def _run(argv, capsys):
@@ -69,3 +76,28 @@ def test_golden_zeta_rational_grid(capsys, tmp_path, monkeypatch):
         if _run(case["argv"], capsys) != (case["exit"], case["stdout"], case["stderr"])
     ]
     assert not mismatches, f"{len(mismatches)} of {len(cases)} differ: {mismatches[:5]}"
+
+
+def test_golden_render_grid(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, data in RENDER_GRID["varieties"].items():
+        Path(name).write_text(json.dumps(data))
+    cases = RENDER_GRID["cases"]
+    assert {c["exit"] for c in cases} == {0, 1, 2}
+    mismatches = [
+        " ".join(case["argv"])
+        for case in cases
+        if _run(case["argv"], capsys) != (case["exit"], case["stdout"], case["stderr"])
+    ]
+    assert not mismatches, f"{len(mismatches)} of {len(cases)} differ: {mismatches[:5]}"
+    assert len(RENDER_GRID["numeric"]) == 4
+    for argv in RENDER_GRID["numeric"]:
+        code, out, err = _run(argv + ["--format", "json"], capsys)
+        assert (code, err) == (0, ""), argv
+        doc = json.loads(out)
+        plain = _run(argv + ["--format", "plain"], capsys)
+        assert plain == _run(argv, capsys) and plain[0] == 0, argv
+        lines = plain[1].splitlines()
+        assert lines[0] == f"# wittkit {doc['command']}"
+        values = [float(line.rsplit(" ", 1)[1]) for line in lines[2:]]
+        assert values == NUMERIC_VALUES[doc["command"]](doc["result"]), argv
