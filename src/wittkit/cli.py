@@ -9,10 +9,10 @@ computation error, 2 usage error. The argparse tree is built once per
 process (`build_parser` is cached) and reused by every `main` call;
 parsing keeps no state between calls.
 
-numpy and scipy are imported on first use, inside the library functions
-that need them: `zeta count`, `zeta rational` and `zeta euler` load
-numpy, `explicit-formula run` loads numpy and scipy, and the other
-commands load neither.
+numpy is imported on first use, inside the library functions that need
+it: `zeta count`, `zeta rational`, `zeta euler` and `explicit-formula
+run` load it, and the other commands do not. No command loads scipy,
+which only the tests and tools/make_gl_table.py use.
 
 Identical invocations produce byte-identical output: no timestamps,
 sorted JSON keys, fixed summation orders in the underlying modules.
@@ -302,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pf = sub.add_parser("product-formula", help="sum of weighted valuations")
     pf_sub = p_pf.add_subparsers(dest="verb", required=True)
     p = pf_sub.add_parser("rational")
-    p.add_argument("value", help="rational number, e.g. 12/5 or -360/77")
+    p.add_argument("value", help="rational number, e.g. 12/5 or -- -360/77")
     _common_flags(p)
     p.set_defaults(func=_run_product_formula)
     p = pf_sub.add_parser("function-field")

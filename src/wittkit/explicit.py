@@ -9,16 +9,18 @@ Truncation is raw: K zeros, primes up to the bound, no smoothing
 factors.
 
 The zero side integrates the len(table) + 2 transforms at 0, 1 and
-1/2 + i gamma in blocks of at most QUAD_BLOCK_ROWS alphas (the byte
-budget QUAD_BLOCK_BYTES) through the doubling loop of one transform;
-each column stops at its own first agreeing doubling, so its value is
-the one `transform` gives. Phi(1/2 - i gamma) is bitwise the conjugate
-of Phi(1/2 + i gamma); one spot block of conjugates checks that the
-imaginary parts cancel. Values are cached for ZERO_SIDE_CACHE_BUMPS bumps.
+1/2 + i gamma in blocks of at most QUAD_BLOCK_ROWS alphas through the
+doubling loop of one transform; each column stops at its own first
+agreeing doubling, so its value is the one `transform` gives.
+Phi(1/2 - i gamma) is bitwise the conjugate of Phi(1/2 + i gamma); one
+spot block of conjugates checks that the imaginary parts cancel. Values
+are cached for ZERO_SIDE_CACHE_BUMPS bumps.
 
-numpy is imported on first use by the functions that evaluate on arrays,
-and scipy only on a miss of `_gl_nodes`' cache, so `explicit-formula run`
-is the one command that loads scipy.
+The Gauss-Legendre nodes of every doubling level, 32 to QUAD_MAX_NODES,
+ship with the package (data/gauss_legendre.npz, written by
+tools/make_gl_table.py from scipy's roots_legendre); `_gl_nodes` reads a
+level on its first use, so no run computes nodes and none loads scipy.
+numpy is imported on first use by the functions that evaluate on arrays.
 """
 
 from __future__ import annotations
@@ -32,14 +34,11 @@ from .ntheory import primes_upto
 from .util import kahan_sum
 
 QUAD_START_NODES = 32
-QUAD_MAX_NODES = 2**16
+QUAD_MAX_NODES = 2**14  # the top level of the bundled node table
 QUAD_REL_TOL = 1e-12
-# Byte budget of one block of integrand values, rows x nodes x 16 B of
-# complex128. Blocks have QUAD_BLOCK_ROWS rows, so even at QUAD_MAX_NODES
-# the largest block costs 16 x 65,536 x 16 B = 16 MiB; bumps with radius
-# up to 0.9 and the bundled zeros converge by 2,048 nodes (512 KiB).
-QUAD_BLOCK_BYTES = 16 * 2**20
-QUAD_BLOCK_ROWS = QUAD_BLOCK_BYTES // (QUAD_MAX_NODES * 16)
+# Alphas per block of integrand values; a block of complex128 costs at
+# most 16 x 16,384 x 16 B = 4 MiB, at QUAD_MAX_NODES.
+QUAD_BLOCK_ROWS = 16
 # Bumps whose zero-side transforms stay cached, 16 KiB each for the
 # bundled table. A witt-explicit benchmark run repeats any earlier bump
 # of its run, so fewer entries would turn repeats into misses.
@@ -130,12 +129,21 @@ def load_bundled_zeros() -> ZeroTable:
     return load_zeros(bundled_zeros_path())
 
 
+def gl_table_path():
+    """Path of the Gauss-Legendre table shipped with the package."""
+    return resources.files("wittkit").joinpath("data/gauss_legendre.npz")
+
+
 @functools.lru_cache(maxsize=(QUAD_MAX_NODES // QUAD_START_NODES).bit_length())
 def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights; one entry per doubling level."""
-    from scipy.special import roots_legendre
+    """Gauss-Legendre nodes and weights, ascending, from the bundled
+    table of their non-negative halves; one entry per doubling level."""
+    import numpy as np
 
-    x, w = roots_legendre(n)
+    with gl_table_path().open("rb") as fh, np.load(fh) as table:
+        h, hw = table[f"x{n}"], table[f"w{n}"]
+    x = np.concatenate([-h[::-1], h])
+    w = np.concatenate([hw[::-1], hw])
     x.flags.writeable = w.flags.writeable = False
     return x, w
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import time
 from importlib import resources
 from pathlib import Path
@@ -96,6 +97,21 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_product_formula_help_examples_run_as_written(capsys, monkeypatch):
+    """Each example in `product-formula rational --help` runs as typed; a
+    negative value needs the `--` that keeps argparse from reading it as
+    an option."""
+    monkeypatch.setenv("COLUMNS", "200")  # one help line per argument
+    code, out, err = run_cli(capsys, ["product-formula", "rational", "--help"])
+    assert code == 0
+    examples = re.search(r"e\.g\. (.*?)\n", out).group(1).split(" or ")
+    assert examples == ["12/5", "-- -360/77"]
+    for example in examples:
+        code, out, err = run_cli(capsys, ["product-formula", "rational"] + example.split())
+        assert code == 0, (example, err)
+        assert out.splitlines()[-1].startswith("scale = "), example
 
 
 def test_cached_parser_keeps_no_state_between_calls(capsys, monkeypatch):
@@ -486,11 +502,14 @@ def test_nan_s_refused(capsys):
     ("inf,1", "bump c and r must be finite numbers, got inf,1.0"),
     ("1500,1", "quadrature over the support [1499.0, 1501.0] is not finite at 32 nodes"),
     ("1e300,1", "quadrature over the support [1e+300, 1e+300] is not finite at 32 nodes"),
+    ("10,1", "quadrature did not converge within 16384 nodes"),
+    ("20,1", "quadrature did not converge within 16384 nodes"),
 ])
 def test_unusable_bump_refused_fast(capsys, bump, message):
     """A non-finite c or r is refused when the bump is built; a finite bump
-    whose e^{t alpha} overflows is refused at the first quadrature level.
-    None of them can converge, so the node doubling must not climb on."""
+    whose e^{t alpha} overflows is refused at the first quadrature level,
+    and one still open at the top of the bundled node table is refused
+    there. None of them can converge, so no run computes further nodes."""
     start = time.perf_counter()
     code, out, err = run_cli(capsys, ["explicit-formula", "run", "--bump", bump])
     assert time.perf_counter() - start < 2.0

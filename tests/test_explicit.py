@@ -7,6 +7,8 @@ from wittkit import explicit
 from wittkit.cli import main
 from wittkit.explicit import (
     QUAD_BLOCK_ROWS,
+    QUAD_MAX_NODES,
+    QUAD_START_NODES,
     TestFunction,
     ZeroTable,
     explicit_formula_defect,
@@ -71,6 +73,25 @@ def test_bundled_zero_table():
 
 def test_bundled_zero_table_is_read_once():
     assert load_bundled_zeros() is load_bundled_zeros()
+
+
+def test_bundled_nodes_are_scipys_bytes():
+    """The shipped half table, mirrored, is scipy's roots_legendre byte
+    for byte at every doubling level; scipy is the oracle, not a runtime
+    dependency."""
+    import numpy as np
+    from scipy.special import roots_legendre
+
+    levels = [2**k for k in range(5, 15)]
+    assert (levels[0], levels[-1]) == (QUAD_START_NODES, QUAD_MAX_NODES)
+    with explicit.gl_table_path().open("rb") as fh, np.load(fh) as table:
+        assert sorted(table.files) == sorted(f"{k}{n}" for n in levels for k in "xw")
+    for n in levels:
+        x, w = explicit._gl_nodes(n)
+        sx, sw = roots_legendre(n)
+        assert x.dtype == w.dtype == np.float64 and not (x.flags.writeable or w.flags.writeable)
+        assert x.tobytes() == sx.tobytes(), n
+        assert w.tobytes() == sw.tobytes(), n
 
 
 def test_load_zeros_errors(tmp_path):

@@ -1,6 +1,7 @@
-"""Start-up cost: numpy and scipy are imported on first use, so commands
-that need neither never load them. Each check runs in a fresh
-interpreter, since this test process has loaded both long ago."""
+"""Start-up cost: numpy is imported on first use, so commands that need
+no arrays never load it, and no command loads scipy, whose Gauss-Legendre
+nodes ship with the package. Each check runs in a fresh interpreter,
+since this test process has loaded both long ago."""
 
 import importlib.util
 import os
@@ -41,6 +42,16 @@ def test_commands_without_arrays_load_neither_numpy_nor_scipy(argv, last_line):
     names = imported(proc.stderr)
     assert "wittkit.counting" in names  # the log is read
     assert not {n for n in names if n.split(".")[0] in ("numpy", "scipy")}
+
+
+def test_explicit_formula_loads_numpy_but_no_scipy():
+    proc = run_python(["-X", "importtime", "-m", "wittkit.cli",
+                       "explicit-formula", "run", "--max-zeros", "10"])
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1].startswith("K=1000: defect ")
+    roots = {n.split(".")[0] for n in imported(proc.stderr)}
+    assert "numpy" in roots  # the log is read
+    assert "scipy" not in roots
 
 
 def test_cli_import_loads_every_traced_module():
