@@ -42,6 +42,7 @@ TABULAR_COMMANDS = {
                       True),
     "zeta ledger": ("entries", ("norm", "length", "multiplicity"), False),
 }
+_LISTING = "\0"  # stands in for the orbit listing; no argv string holds a NUL
 
 
 def _common_flags(sub: argparse.ArgumentParser) -> None:
@@ -144,7 +145,9 @@ def _run_zeta(args) -> tuple:
 
 
 def _run_orbits(args) -> tuple:
-    report = orbits.packet_report(args.p, args.n, list_limit=args.list_limit)
+    plain = args.format == "plain"  # prints neither the listing nor the generator: no walk
+    report = (vars(orbits.packet_summary(args.p, args.n)) if plain
+              else orbits.packet_report(args.p, args.n, list_limit=args.list_limit))
     lines = [
         f"p = {report['p']}, n = {report['n']}",
         f"faithful characters: {report['faithful_count']}",
@@ -326,6 +329,16 @@ def _config_dict(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
+def _listing_json(rows: list) -> str:
+    """json.dumps(rows, indent=2) for non-empty lists of ints at depth 2
+    of the document, as result["orbits"] sits: written by the C encoder,
+    which json uses only without indent, then laid out by str.replace."""
+    inner, item = "\n      ", "\n        "
+    body = json.dumps(rows, separators=(",", ":"))[2:-2].replace(",", "," + item)
+    body = body.replace(f"],{item}[", f"{inner}],{inner}[{item}")
+    return f"[{inner}[{item}{body}{inner}]\n    ]"
+
+
 def _render(args, result, plain_lines) -> str:
     name = _command_name(args)
     config = _config_dict(args)
@@ -333,12 +346,15 @@ def _render(args, result, plain_lines) -> str:
     if args.format == "json":
         if key:
             result = {**result, key: [dict(zip(columns, row)) for row in result[key]]}
+        rows = result["orbits"] if name == "orbits packet" else None
+        if rows:  # a placeholder; the listing is written apart, by _listing_json
+            result = {**result, "orbits": _LISTING}
         doc = {"command": name, "config": config, "result": result}
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    header = [f"# wittkit {name}"]
-    header.append(
-        "# config: " + " ".join(f"{k}={v}" for k, v in config.items())
-    )
+        text = json.dumps(doc, indent=2, sort_keys=True)
+        if rows:
+            text = text.replace(json.dumps(_LISTING), _listing_json(rows))
+        return text + "\n"
+    header = [f"# wittkit {name}", "# config: " + " ".join(f"{k}={v}" for k, v in config.items())]
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

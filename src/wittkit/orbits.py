@@ -15,7 +15,10 @@ import math
 from dataclasses import dataclass
 
 from .finitefield import DEFAULT_FIELD_LIMIT, finite_field_make
-from .ntheory import bounded_power, euler_phi, is_prime
+from .ntheory import bounded_power, euler_phi, factorize, is_prime
+
+# the largest --list-limit; the longest listing it admits (2645371 1) prints in about 1 s
+LIST_LIMIT_CAP = 5 * 10**5
 
 
 @dataclass(frozen=True)
@@ -77,28 +80,36 @@ def orbit_of(P: FiniteLevelPoint) -> list[FiniteLevelPoint]:
     return [FiniteLevelPoint(P.p, P.n, a) for a in _orbit(P.a, P.p, P.m)]
 
 
-def _orbit_partition(p: int, m: int) -> list[list[int]]:
-    """Frobenius orbits of the faithful indices mod m = p^n - 1, each
-    led by its smallest member, listed in order of that leader."""
+def _orbit_partition(p: int, n: int) -> list[list[int]]:
+    """Frobenius orbits of the faithful indices mod m = p^n - 1, each led by
+    its smallest member, in order of that leader; a sieve over the primes
+    of m marks the other indices, so walks start only at leaders. An orbit
+    not of length n, or orbits that overlap, would falsify the model."""
+    m = p**n - 1
     seen = bytearray(m)
+    for q in factorize(m):
+        seen[::q] = b"\1" * len(range(0, m, q))
+    faithful = seen.count(0)
     orbits = []
-    gcd = math.gcd  # a local name: the loop below runs m times
-    for a in range(m):  # a = 0 is faithful only for m = 1
-        if not seen[a] and gcd(a, m) == 1:
-            orbit = _orbit(a, p, m)
-            for b in orbit:
-                seen[b] = 1
-            orbits.append(orbit)
+    a = seen.find(0)  # a = 0 is faithful only for m = 1
+    while a >= 0:
+        orbit = _orbit(a, p, m)
+        if len(orbit) != n:
+            raise AssertionError(f"orbit {orbit} of length {len(orbit)}, expected {n}")
+        for b in orbit:
+            seen[b] = 1
+        orbits.append(orbit)
+        a = seen.find(0, a + 1)
+    if len(orbits) * n != faithful:
+        raise AssertionError("orbit partition does not cover the faithful points")
     return orbits
 
 
-def _packet(p: int, n: int) -> tuple[PacketSummary, list[list[int]]]:
-    """Summary and orbit partition of the packet over F_{p^n}.
-
-    Every faithful orbit must have length exactly n, and the orbits must
-    cover the phi(p^n - 1) faithful points; a violation would falsify
-    the model and raises immediately.
-    """
+def packet_summary(p: int, n: int) -> PacketSummary:
+    """Orbit packet over the closed point with residue field F_{p^n}, with
+    no walk: p has order exactly n mod m = p^n - 1 (0 < p^k - 1 < m for
+    0 < k < n), so each of the phi(m) faithful points lies on an orbit
+    of length n, and there are phi(m)/n of them."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if n < 1:
@@ -107,54 +118,27 @@ def _packet(p: int, n: int) -> tuple[PacketSummary, list[list[int]]]:
     size = bounded_power(p, n, 10**9)
     if size is None:
         raise ValueError(f"p^n - 1 = {p}^{n} - 1 above the 10^9 limit")
-    m = size - 1
-    if m > 10**9:
-        raise ValueError(f"p^n - 1 = {m} above the 10^9 limit")
-    orbits = _orbit_partition(p, m)
-    for orbit in orbits:
-        if len(orbit) != n:
-            raise AssertionError(f"orbit {orbit} of length {len(orbit)}, expected {n}")
-    faithful = euler_phi(m)
-    if len(orbits) * n != faithful:
-        raise AssertionError("orbit partition does not cover the faithful points")
-    summary = PacketSummary(
-        p=p,
-        n=n,
-        orbit_count=len(orbits),
-        orbit_length=n,
-        suspension_length=n * math.log(p),
-        faithful_count=faithful,
-    )
-    return summary, orbits
-
-
-def packet_summary(p: int, n: int) -> PacketSummary:
-    """Orbit packet over the closed point with residue field F_{p^n}."""
-    return _packet(p, n)[0]
+    if size - 1 > 10**9:
+        raise ValueError(f"p^n - 1 = {size - 1} above the 10^9 limit")
+    faithful = euler_phi(size - 1)
+    return PacketSummary(p=p, n=n, orbit_count=faithful // n, orbit_length=n,
+                         suspension_length=n * math.log(p), faithful_count=faithful)
 
 
 def packet_report(p: int, n: int, list_limit: int = 10**4) -> dict:
-    """JSON-ready packet summary; the orbit listing is included only
-    when the faithful count stays within list_limit."""
-    s, orbits = _packet(p, n)
+    """JSON-ready packet summary; the orbit listing is walked and included
+    only when the faithful count stays within list_limit, itself at most
+    LIST_LIMIT_CAP."""
+    if list_limit > LIST_LIMIT_CAP:
+        raise ValueError(f"orbits packet --list-limit {list_limit} is above the cap"
+                         f" {LIST_LIMIT_CAP}")
+    s = packet_summary(p, n)
     field = finite_field_make(p, n) if p**n <= DEFAULT_FIELD_LIMIT else None
-    report = {
-        "p": s.p,
-        "n": s.n,
-        "orbit_count": s.orbit_count,
-        "orbit_length": s.orbit_length,
-        "suspension_length": s.suspension_length,
-        "faithful_count": s.faithful_count,
-        "generator": field.format_element(field.gen) if field else None,
-    }
+    report = {**vars(s), "generator": field.format_element(field.gen) if field else None}
     if s.faithful_count <= list_limit:
-        report["orbits"] = orbits
-    else:
-        report["orbits"] = None
-        report["orbits_omitted"] = (
-            f"faithful count {s.faithful_count} above listing limit {list_limit}"
-        )
-    return report
+        return {**report, "orbits": _orbit_partition(p, n)}
+    omitted = f"faithful count {s.faithful_count} above listing limit {list_limit}"
+    return {**report, "orbits": None, "orbits_omitted": omitted}
 
 
 def evaluate_integer(f: int, P: FiniteLevelPoint) -> complex:

@@ -10,9 +10,11 @@ import time
 from wittkit.explicit import TestFunction, explicit_formula_defect, load_bundled_zeros
 from wittkit.ntheory import euler_phi, primes_upto
 from wittkit.orbits import (
+    LIST_LIMIT_CAP,
     FiniteLevelPoint,
     evaluate_integer,
     frobenius_equivariance_check,
+    packet_report,
     packet_summary,
 )
 from wittkit.poly import Polynomial
@@ -202,9 +204,12 @@ def test_criterion_7_orbit_packets():
             m = p**n - 1
             if m > 10**6:
                 continue
-            s = packet_summary(p, n)  # raises on any orbit-length violation
+            s = packet_summary(p, n)
             assert s.orbit_length == (1 if m <= 1 else n)
             assert s.orbit_count == euler_phi(max(m, 1)) // s.orbit_length
+            # the listing walks every orbit and raises on any length violation
+            listing = packet_report(p, n, list_limit=LIST_LIMIT_CAP)["orbits"]
+            assert listing is None or [len(o) for o in listing] == [n] * s.orbit_count
             checked += 1
     elapsed = time.monotonic() - start
     print(f"\n[criterion 7] PASS orbit packets: {checked} levels with p < 20, "

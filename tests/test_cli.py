@@ -10,7 +10,7 @@ import jsonschema
 import pytest
 
 from oracles import parse_witt_reference
-from wittkit import cli
+from wittkit import cli, orbits
 from wittkit.cli import main
 from wittkit.ntheory import SIEVE_LIMIT
 from wittkit.rings import QQ, ZZ
@@ -429,6 +429,23 @@ def test_packet_above_limit_refused(capsys):
     assert code == 1
     assert err == "wittkit: error: p^n - 1 = 2^100000000 - 1 above the 10^9 limit\n"
     assert out == ""
+
+
+def test_packet_list_limit_above_cap_refused(capsys):
+    # a listing of 10^9 orbits would need gigabytes: refused before any work
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["orbits", "packet", "999999937", "1",
+                                      "--list-limit", "1000000000"])
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (1, "")
+    assert err == ("wittkit: error: orbits packet --list-limit 1000000000 is above the cap"
+                   f" {orbits.LIST_LIMIT_CAP}\n")
+    # at the cap the packet answers, its listing omitted above it
+    code, out, err = run_cli(capsys, ["orbits", "packet", "999999937", "1",
+                                      "--list-limit", str(orbits.LIST_LIMIT_CAP)])
+    assert code == 0, err
+    assert json.loads(out)["result"]["orbits_omitted"] == (
+        f"faithful count 303796224 above listing limit {orbits.LIST_LIMIT_CAP}")
 
 
 def test_huge_prime_arguments_answer_fast(capsys, tmp_path):

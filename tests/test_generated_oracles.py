@@ -3,9 +3,11 @@ generated inputs. Each draw is seeded from property_seed(), so
 WITT_ORBIT_SEED replays a failing draw."""
 
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +31,7 @@ from oracles import (
     square_table,
     transform_simpson,
 )
+from wittkit import cli
 from wittkit.cli import main
 from wittkit.counting import AffineVariety, count_points
 from wittkit.explicit import (
@@ -48,7 +51,7 @@ from wittkit.finitefield import (
     smallest_irreducible,
 )
 from wittkit.ntheory import _PSI, factorize, is_prime, kronecker_symbol, primes_upto
-from wittkit.orbits import FiniteLevelPoint, orbit_of, packet_report
+from wittkit.orbits import FiniteLevelPoint, orbit_of, packet_report, packet_summary
 from wittkit.parser import ParseError, parse_witt
 from wittkit.poly import _GCD_PRIMES, Polynomial, _gcd_primes, _mulmod, _powmod
 from wittkit.reciprocity import REDEI_SEARCH_START, _redei_solutions
@@ -683,3 +686,61 @@ def test_orbit_walk_matches_reference_walks():
             for a in indices:
                 P = FiniteLevelPoint(p, n, a)
                 assert orbit_of(P) == orbit_of_walk(P), P
+
+
+def test_packet_summary_matches_reference_walk():
+    # the summary counts phi(m)/n orbits with no walk: against the reference
+    # walk at generated levels p^n <= 2 * 10^5, with the listing printed,
+    # omitted, or at its limit
+    rng = random.Random(property_seed() + 47)
+    levels = [(p, n) for p in primes_upto(2000) for n in range(1, 18) if p**n <= 2 * 10**5]
+    for p, n in rng.sample(levels, 40) + [(2, 1), (2, 17), (3, 11), (13, 4)]:
+        walk = _orbit_walk(p, n)
+        s = packet_summary(p, n)
+        assert (s.orbit_count, s.orbit_length) == (len(walk), n), (p, n)
+        assert s.faithful_count == sum(map(len, walk)), (p, n)
+        limit = rng.choice((0, s.faithful_count - 1, s.faithful_count, 10**4))
+        report = packet_report(p, n, list_limit=limit)
+        assert {k: report[k] for k in vars(s)} == vars(s), (p, n)
+        listed = s.faithful_count <= limit
+        assert report["orbits"] == (walk if listed else None), (p, n, limit)
+        assert ("orbits_omitted" in report) != listed, (p, n, limit)
+
+
+def test_render_matches_pure_python_encoder(tmp_path, monkeypatch):
+    """The JSON that _render writes, the orbit listing through the C encoder
+    included, against json.dumps(doc, indent=2, sort_keys=True): on
+    generated listings and on every command's document in the render grid."""
+    rng = random.Random(property_seed() + 48)
+
+    def expected(args, result):
+        key, columns, _ = cli.TABULAR_COMMANDS.get(cli._command_name(args), (None, (), 0))
+        if key:
+            result = {**result, key: [dict(zip(columns, row)) for row in result[key]]}
+        doc = {"command": cli._command_name(args), "config": cli._config_dict(args),
+               "result": result}
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    args = cli.build_parser().parse_args(["orbits", "packet", "7", "3"])
+    result, lines = args.func(args)
+    listings = [[], [[0]], [[5]], [[1, 2, 4]], [[1], [2]], result["orbits"]]
+    for _ in range(30):
+        n = rng.randint(1, 12)
+        listings.append([[rng.randrange(10**rng.randint(1, 10)) for _ in range(n)]
+                         for _ in range(rng.randint(1, 60))])
+    for rows in listings:
+        case = {**result, "orbits": rows}
+        assert cli._render(args, case, lines) == expected(args, case), rows[:3]
+    grid = json.loads((Path(__file__).parent / "data" / "golden_render.json").read_text())
+    monkeypatch.chdir(tmp_path)
+    for name, data in grid["varieties"].items():
+        Path(name).write_text(json.dumps(data))
+    argvs = [c["argv"] for c in grid["cases"]
+             if c["exit"] == 0 and c["argv"][-2:] == ["--format", "json"]]
+    names = set()
+    for argv in argvs + [argv + ["--format", "json"] for argv in grid["numeric"]]:
+        args = cli.build_parser().parse_args(argv)
+        result, lines = args.func(args)
+        assert cli._render(args, result, lines) == expected(args, result), argv
+        names.add(cli._command_name(args))
+    assert len(names) == 19

@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 
 import pytest
 
@@ -79,6 +80,22 @@ def test_packet_report_listing():
 def test_packet_size_limit():
     with pytest.raises(ValueError, match="10\\^9"):
         packet_summary(2, 31)
+
+
+def test_packet_summary_needs_no_walk():
+    # phi(m)/n from the factors of m: the largest levels answer at once,
+    # where a walk over the 10^9 indices of 999999937 would take minutes
+    for p, n in [(3, 13), (1000003, 1), (999999937, 1)]:
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            s = packet_summary(p, n)
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.005, (p, n, best)
+        assert s.orbit_count * n == s.faithful_count == euler_phi(p**n - 1)
+    assert packet_summary(999999937, 1).faithful_count == 303796224
+    report = packet_report(999999937, 1)
+    assert report["orbits"] is None and report["orbit_count"] == 303796224
 
 
 def test_evaluate_integer_basics():

@@ -34,6 +34,7 @@ def imported(importtime_log: str) -> set[str]:
 @pytest.mark.parametrize("argv, last_line", [
     (["witt", "mul", "1-t", "1+2t"], "1 + 2t"),
     (["product-formula", "rational", "12/5"], "scale = 4.0943445622221"),
+    (["orbits", "packet", "7", "3"], "}"),  # with its orbit listing
 ])
 def test_commands_without_arrays_load_neither_numpy_nor_scipy(argv, last_line):
     proc = run_python(["-X", "importtime", "-m", "wittkit.cli"] + argv)
