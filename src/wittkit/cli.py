@@ -126,8 +126,7 @@ def _run_zeta(args) -> tuple:
         return result, lines
     if args.verb == "ledger":
         ledger = zeta.closed_points(args.source, args.bound)
-        entries = [(e.norm, e.length, e.multiplicity) for e in ledger.entries]
-        return {"source": ledger.source, "bound": ledger.bound, "entries": entries}, None
+        return {"source": ledger.source, "bound": ledger.bound, "entries": ledger.entries}, None
     if args.verb == "euler":
         ledger = zeta.closed_points(args.source, args.bound)
         euler, ruelle = zeta.euler_vs_ruelle(ledger, args.s, args.bound)

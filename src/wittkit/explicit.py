@@ -236,7 +236,8 @@ def zero_side(phi: TestFunction, zeros: ZeroTable, K: int) -> float:
     the imaginary parts cancel. The whole table is integrated once per
     bump and cached, so every K up to the table size slices one array."""
     if K < 0 or K > len(zeros):
-        raise ValueError(f"K must be between 0 and the table size {len(zeros)}")
+        raise ValueError(f"explicit-formula run --max-zeros {K} is not between 0"
+                         f" and the table size {len(zeros)}")
     values = _zero_transforms(phi, zeros)
     return kahan_sum([float((values[0] + values[1]).real)] + (-2 * values[2:K + 2].real).tolist())
 

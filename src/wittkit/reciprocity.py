@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .ntheory import is_prime, kronecker_symbol, primes_upto, sqrt_mod_prime
 
@@ -39,19 +38,10 @@ def legendre(a: int, p: int) -> int:
     return kronecker_symbol(a, p)
 
 
-class LinkingEntry(NamedTuple):
-    p: int
-    l: int
-    p_mod4: int
-    l_mod4: int
-    symbol_pl: int
-    symbol_lp: int
-    relation_ok: bool
-
-
-def reciprocity_check(p: int, l: int) -> LinkingEntry:
+def reciprocity_check(p: int, l: int) -> tuple:
     """Verified reciprocity relation for distinct odd primes: symbols
-    equal when p or l is 1 mod 4, opposite when both are 3 mod 4."""
+    equal when p or l is 1 mod 4, opposite when both are 3 mod 4. The
+    row is (p, l, p mod 4, l mod 4, (p/l), (l/p), relation holds)."""
     if p == l:
         raise ValueError("primes must be distinct")
     _check_odd_prime(l)
@@ -59,18 +49,18 @@ def reciprocity_check(p: int, l: int) -> LinkingEntry:
     return _linking_entry(p, l)
 
 
-def _linking_entry(p: int, l: int) -> LinkingEntry:
+def _linking_entry(p: int, l: int) -> tuple:
     s_pl = kronecker_symbol(p, l)
     s_lp = kronecker_symbol(l, p)
     ok = s_pl == (-s_lp if p % 4 == l % 4 == 3 else s_lp)
     if not ok:
         raise AssertionError(f"quadratic reciprocity violated at ({p}, {l})")
-    return LinkingEntry(p, l, p % 4, l % 4, s_pl, s_lp, ok)
+    return (p, l, p % 4, l % 4, s_pl, s_lp, ok)  # an exact tuple: the collector untracks it
 
 
-def linking_table(bound: int) -> list[LinkingEntry]:
+def linking_table(bound: int) -> list[tuple]:
     """All ordered pairs of distinct odd primes below bound, in (p, l)
-    order, each with its verified relation."""
+    order, each the reciprocity_check row of its verified relation."""
     if bound < 5:
         raise ValueError("bound must be >= 5")
     if bound > LINKING_BOUND_CAP:

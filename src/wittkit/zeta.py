@@ -210,26 +210,17 @@ def function_field_product_formula(num: Polynomial, den: Polynomial) -> int:
 
 
 @dataclass(frozen=True)
-class LedgerEntry:
-    norm: int
-    length: float
-    multiplicity: int
-
-
-@dataclass(frozen=True)
 class ClosedPointLedger:
     source: str
     bound: float
-    entries: tuple[LedgerEntry, ...]
+    entries: tuple[tuple[int, float, int], ...]  # rows in the module docstring's order
 
 
 def _merge(source: str, bound: float, raw: list[tuple[int, int]]) -> ClosedPointLedger:
     by_norm: dict[int, int] = {}
     for norm, mult in raw:
         by_norm[norm] = by_norm.get(norm, 0) + mult
-    entries = tuple(
-        LedgerEntry(norm, math.log(norm), by_norm[norm]) for norm in sorted(by_norm)
-    )
+    entries = tuple((norm, math.log(norm), by_norm[norm]) for norm in sorted(by_norm))
     return ClosedPointLedger(source, bound, entries)
 
 
@@ -317,13 +308,17 @@ def closed_points(source: str, bound: float) -> ClosedPointLedger:
         raise ValueError(f"--bound must be a finite number, got {bound!r}")
     if source == "spec Z":
         return ledger_spec_z(bound)
-    if source.startswith("quadratic:"):
-        return ledger_quadratic(int(source.split(":", 1)[1]), bound)
-    if source.startswith("curve:"):
-        return ledger_projective_line(int(source.split(":", 1)[1]), bound)
-    raise ValueError(
-        f"unsupported source {source!r}; use 'spec Z', 'quadratic:<d>' or 'curve:<q>'"
-    )
+    kind, _, arg = source.partition(":")
+    make = {"quadratic": ledger_quadratic, "curve": ledger_projective_line}.get(kind)
+    try:
+        value = int(arg)
+    except ValueError:  # 'quadratic:abc' is an unsupported source too
+        make = None
+    if make is None:
+        raise ValueError(
+            f"unsupported source {source!r}; use 'spec Z', 'quadratic:<d>' or 'curve:<q>'"
+        )
+    return make(value, bound)
 
 
 # --- Euler versus Ruelle products ---
@@ -342,11 +337,11 @@ def euler_vs_ruelle(
         raise ValueError("s must be > 1")
     euler = 1.0
     ruelle = 1.0
-    for e in ledger.entries:
-        if e.norm > bound:
+    for norm, length, mult in ledger.entries:
+        if norm > bound:
             break
-        euler *= (1.0 - math.exp(-s * math.log(e.norm))) ** (-e.multiplicity)
-        ruelle *= (1.0 - math.exp(-s * e.length)) ** (-e.multiplicity)
+        euler *= (1.0 - math.exp(-s * math.log(norm))) ** (-mult)
+        ruelle *= (1.0 - math.exp(-s * length)) ** (-mult)
     return euler, ruelle
 
 

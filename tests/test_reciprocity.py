@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import pytest
@@ -12,6 +13,7 @@ from wittkit.reciprocity import (
     redei_scan,
     redei_symbol,
 )
+from wittkit.zeta import closed_points
 
 
 def test_legendre_matches_exhaustive_squares():
@@ -32,28 +34,41 @@ def test_legendre_rejects_even_modulus():
 
 
 def test_reciprocity_check_values():
-    e = reciprocity_check(3, 5)
-    assert (e.symbol_pl, e.symbol_lp) == (-1, -1)
-    assert e.relation_ok
-    e = reciprocity_check(3, 7)
-    assert (e.symbol_pl, e.symbol_lp) == (-1, 1)
-    assert e.relation_ok
-    e = reciprocity_check(13, 17)
-    assert (e.symbol_pl, e.symbol_lp) == (1, 1)
+    # rows are (p, l, p mod 4, l mod 4, (p/l), (l/p), relation holds)
+    *_, s_pl, s_lp, ok = reciprocity_check(3, 5)
+    assert (s_pl, s_lp) == (-1, -1)
+    assert ok
+    *_, s_pl, s_lp, ok = reciprocity_check(3, 7)
+    assert (s_pl, s_lp) == (-1, 1)
+    assert ok
+    *_, s_pl, s_lp, ok = reciprocity_check(13, 17)
+    assert (s_pl, s_lp) == (1, 1)
+    assert reciprocity_check(3, 7)[:4] == (3, 7, 3, 3)
 
 
 def test_linking_table_small():
     table = linking_table(12)
     assert len(table) == 12  # ordered pairs from {3, 5, 7, 11}
-    assert (table[0].p, table[0].l) == (3, 5)
-    assert all(e.relation_ok for e in table)
+    assert table[0][:2] == (3, 5)
+    assert all(ok for *_, ok in table)
     assert linking_table(5) == []
     with pytest.raises(ValueError):
         linking_table(4)
 
 
 def test_linking_table_no_violations_to_200():
-    assert all(e.relation_ok for e in linking_table(200))
+    assert all(ok for *_, ok in linking_table(200))
+
+
+def test_rows_are_plain_tuples_the_collector_untracks():
+    # a tuple subclass (a NamedTuple row) stays tracked by the cyclic
+    # collector; exact tuples of numbers are untracked at the first
+    # collection, so thousands of rows add nothing to later full ones
+    rows = linking_table(400) + list(closed_points("spec Z", 10**4).entries)
+    assert len(rows) == 77 * 76 + 1229
+    gc.collect()
+    assert all(type(row) is tuple for row in rows)
+    assert not any(gc.is_tracked(row) for row in rows)
 
 
 def test_linking_table_cap():

@@ -119,11 +119,11 @@ def test_function_field_product_formula_exact_zero():
 
 def test_ledger_spec_z():
     ledger = ledger_spec_z(10)
-    assert [(e.norm, e.multiplicity) for e in ledger.entries] == [
+    assert [(norm, mult) for norm, _, mult in ledger.entries] == [
         (2, 1), (3, 1), (5, 1), (7, 1)
     ]
-    for e in ledger.entries:
-        assert e.length == math.log(e.norm)
+    for norm, length, _ in ledger.entries:
+        assert length == math.log(norm)
 
 
 def test_fundamental_discriminants():
@@ -145,7 +145,7 @@ def test_kronecker_symbol_values():
 
 def test_ledger_quadratic():
     ledger = ledger_quadratic(-4, 25)
-    assert [(e.norm, e.multiplicity) for e in ledger.entries] == [
+    assert [(norm, mult) for norm, _, mult in ledger.entries] == [
         (2, 1), (5, 2), (9, 1), (13, 2), (17, 2)
     ]
     with pytest.raises(ValueError, match="fundamental discriminant"):
@@ -154,7 +154,7 @@ def test_ledger_quadratic():
 
 def test_ledger_projective_line():
     ledger = ledger_projective_line(2, 10)
-    assert [(e.norm, e.multiplicity) for e in ledger.entries] == [
+    assert [(norm, mult) for norm, _, mult in ledger.entries] == [
         (2, 3), (4, 1), (8, 2)
     ]
     with pytest.raises(ValueError, match="only prime q"):
