@@ -4,7 +4,11 @@ Subcommands: witt, zeta, orbits, explicit-formula, linking, redei,
 product-formula. Every run echoes its resolved configuration; output
 goes to stdout or --out. Formats: plain (default), json (validates
 against schemas/cli_output.schema.json), csv (tabular results only);
-`_render` builds only the format asked for. Exit codes: 0 success, 1
+`_render` builds only the format asked for. The tables (linking rows,
+ledger entries, orbit listings) are exact tuples of numbers, written by
+`_write_table` one %-format per row: in JSON from the C encoder's
+tokens, byte for byte json.dumps(doc, indent=2, sort_keys=True), which
+would otherwise run the pure-Python encoder. Exit codes: 0 success, 1
 computation error, 2 usage error. The argparse tree is built once per
 process (`build_parser` is cached) and reused by every `main` call;
 parsing keeps no state between calls.
@@ -21,9 +25,7 @@ sorted JSON keys, fixed summation orders in the underlying modules.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import sys
 from fractions import Fraction
@@ -35,14 +37,14 @@ from .poly import Polynomial, format_poly
 from .rings import GF, QQ
 
 # tabular command -> (result key of its rows, column names in row order,
-# whether plain output prints the column names); `_render` expands the
-# rows once, into a dict per row, csv rows or plain lines
+# whether plain output prints the column names); `_write_table` writes the
+# rows in the format asked for
 TABULAR_COMMANDS = {
     "linking table": ("rows", ("p", "l", "p_mod4", "l_mod4", "sym_pl", "sym_lp", "relation_ok"),
                       True),
     "zeta ledger": ("entries", ("norm", "length", "multiplicity"), False),
 }
-_LISTING = "\0"  # stands in for the orbit listing; no argv string holds a NUL
+_TABLE = "\0"  # stands in for a table in the JSON document; no argv string holds a NUL
 
 
 def _common_flags(sub: argparse.ArgumentParser) -> None:
@@ -328,14 +330,29 @@ def _config_dict(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def _listing_json(rows: list) -> str:
-    """json.dumps(rows, indent=2) for non-empty lists of ints at depth 2
-    of the document, as result["orbits"] sits: written by the C encoder,
-    which json uses only without indent, then laid out by str.replace."""
-    inner, item = "\n      ", "\n        "
-    body = json.dumps(rows, separators=(",", ":"))[2:-2].replace(",", "," + item)
-    body = body.replace(f"],{item}[", f"{inner}],{inner}[{item}")
-    return f"[{inner}[{item}{body}{inner}]\n    ]"
+def _write_table(rows, columns, fmt: str):
+    """A table of numbers and bools, rows of equal length, as `fmt` prints
+    it. For csv and plain: the lines that csv.writer and
+    " ".join(map(str, row)) write, one %-format per row. For json: the
+    text of json.dumps(rows, indent=2) at depth 2 of the document, where
+    result[key] sits, from the C encoder's tokens (json uses it only
+    without indent): with no column names each row is an array, laid out
+    by str.replace; with them an object, keys sorted, one %-format per row."""
+    if fmt != "json":
+        row = ("," if fmt == "csv" else " ").join(["%s"] * len(columns))
+        return list(map(row.__mod__, rows))
+    if not rows:
+        return "[]"
+    body = json.dumps(rows, separators=(",", ":"))[2:-2]
+    if not columns:
+        body = body.replace(",", ",\n        ").replace("],\n        [", "\n      ],\n      [\n        ")
+        return "[\n      [\n        " + body + "\n      ]\n    ]"
+    width = len(columns)
+    tokens = body.replace("],[", ",").split(",")
+    order = sorted(range(width), key=columns.__getitem__)
+    row = "{" + ",".join(f'\n        "{columns[i]}": %s' for i in order) + "\n      }"
+    rows = map(row.__mod__, zip(*[tokens[i::width] for i in order]))
+    return "[\n      " + ",\n      ".join(rows) + "\n    ]"
 
 
 def _render(args, result, plain_lines) -> str:
@@ -343,26 +360,21 @@ def _render(args, result, plain_lines) -> str:
     config = _config_dict(args)
     key, columns, plain_columns = TABULAR_COMMANDS.get(name, (None, (), False))
     if args.format == "json":
-        if key:
-            result = {**result, key: [dict(zip(columns, row)) for row in result[key]]}
-        rows = result["orbits"] if name == "orbits packet" else None
-        if rows:  # a placeholder; the listing is written apart, by _listing_json
-            result = {**result, "orbits": _LISTING}
+        if name == "orbits packet":
+            key = "orbits"  # its listing: rows without column names
+        rows = result.get(key) if key else None
+        if rows is not None:  # a placeholder; the table is written apart, by _write_table
+            result = {**result, key: _TABLE}
         doc = {"command": name, "config": config, "result": result}
         text = json.dumps(doc, indent=2, sort_keys=True)
-        if rows:
-            text = text.replace(json.dumps(_LISTING), _listing_json(rows))
+        if rows is not None:
+            text = text.replace(json.dumps(_TABLE), _write_table(rows, columns, "json"))
         return text + "\n"
     header = [f"# wittkit {name}", "# config: " + " ".join(f"{k}={v}" for k, v in config.items())]
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(result[key])
-        return "\n".join(header) + "\n" + buf.getvalue()
-    if key:
-        plain_lines = [" ".join(columns)] if plain_columns else []
-        plain_lines += [" ".join(map(str, row)) for row in result[key]]
+    if key:  # csv output is refused for the other commands
+        sep = "," if args.format == "csv" else " "
+        plain_lines = [sep.join(columns)] if plain_columns or args.format == "csv" else []
+        plain_lines += _write_table(result[key], columns, args.format)
     return "\n".join(header + plain_lines) + "\n"
 
 

@@ -80,7 +80,7 @@ def orbit_of(P: FiniteLevelPoint) -> list[FiniteLevelPoint]:
     return [FiniteLevelPoint(P.p, P.n, a) for a in _orbit(P.a, P.p, P.m)]
 
 
-def _orbit_partition(p: int, n: int) -> list[list[int]]:
+def _orbit_partition(p: int, n: int) -> list[tuple[int, ...]]:
     """Frobenius orbits of the faithful indices mod m = p^n - 1, each led by
     its smallest member, in order of that leader; a sieve over the primes
     of m marks the other indices, so walks start only at leaders. An orbit
@@ -98,7 +98,7 @@ def _orbit_partition(p: int, n: int) -> list[list[int]]:
             raise AssertionError(f"orbit {orbit} of length {len(orbit)}, expected {n}")
         for b in orbit:
             seen[b] = 1
-        orbits.append(orbit)
+        orbits.append(tuple(orbit))  # an exact tuple of ints: the collector untracks it
         a = seen.find(0, a + 1)
     if len(orbits) * n != faithful:
         raise AssertionError("orbit partition does not cover the faithful points")
@@ -127,8 +127,10 @@ def packet_summary(p: int, n: int) -> PacketSummary:
 
 def packet_report(p: int, n: int, list_limit: int = 10**4) -> dict:
     """JSON-ready packet summary; the orbit listing is walked and included
-    only when the faithful count stays within list_limit, itself at most
+    only when the faithful count stays within list_limit, itself from 0 to
     LIST_LIMIT_CAP."""
+    if list_limit < 0:
+        raise ValueError(f"orbits packet --list-limit {list_limit} is below 0")
     if list_limit > LIST_LIMIT_CAP:
         raise ValueError(f"orbits packet --list-limit {list_limit} is above the cap"
                          f" {LIST_LIMIT_CAP}")

@@ -347,10 +347,22 @@ def euler_vs_ruelle(
 
 def zeta_reference(s: float) -> float:
     """sum_{n<=10^6} n^{-s} in double precision."""
+    return _power_sum(s, 1, 10**6)
+
+
+def _power_sum(s: float, lo: int, count: int) -> float:
+    """sum of n^{-s} for count terms from n = lo, bit for bit the np.sum of
+    the whole array: numpy sums pairwise and splits a block at `half` as
+    below, so the same halves are added here until a block fits in 2^15
+    terms (256 KiB), which np.add.reduce sums as the whole array's sum would."""
+    if count > 2**15:
+        half = count // 2
+        half -= half % 8
+        return _power_sum(s, lo, half) + _power_sum(s, lo + half, count - half)
     import numpy as np
 
-    n = np.arange(1, 10**6 + 1, dtype=np.float64)
-    return float(np.sum(np.power(n, -s, out=n)))  # in place: one 8 MB array, not two
+    n = np.arange(lo, lo + count, dtype=np.float64)
+    return float(np.add.reduce(np.power(n, -s, out=n)))
 
 
 def ulp_distance(a: float, b: float) -> int:

@@ -44,7 +44,13 @@ constructions that the Newton power-sum routes in wittkit replace:
   wittkit.reciprocity;
 - _orbit_partition and orbit_of, the Frobenius orbit walks that stop at
   the first index already seen and step through frobenius_step's
-  FiniteLevelPoint objects, instead of the one walk wittkit.orbits._orbit.
+  FiniteLevelPoint objects, instead of the one walk wittkit.orbits._orbit;
+- linking_table_reference, the linking table with two kronecker_symbol
+  calls per pair (reciprocity_check), instead of the residue table per
+  prime in wittkit.reciprocity.linking_table;
+- zeta_reference_one_array, the reference sum as one np.sum over the
+  whole 8 MB array, instead of the 2^15-term blocks of
+  wittkit.zeta.zeta_reference.
 """
 
 from __future__ import annotations
@@ -58,10 +64,11 @@ import numpy as np
 
 from wittkit.explicit import TestFunction
 from wittkit.finitefield import _is_irreducible, finite_field_make, monic_polys
-from wittkit.ntheory import factorize
+from wittkit.ntheory import factorize, primes_upto
 from wittkit.orbits import FiniteLevelPoint, frobenius_step
 from wittkit.parser import ParseError, _Tokens
 from wittkit.poly import Polynomial
+from wittkit.reciprocity import reciprocity_check
 from wittkit.rings import GF, QQ, ZZ, Ring
 from wittkit.series import series_of_rational
 from wittkit.witt import WittVector
@@ -757,3 +764,16 @@ def _orbit_partition(p: int, n: int) -> list[list[int]]:
             cur = cur * p % m
         orbits.append(orbit)
     return orbits
+
+
+def linking_table_reference(bound: int) -> list[tuple]:
+    """All ordered pairs of distinct odd primes below bound, in (p, l)
+    order, each symbol by its own kronecker_symbol call."""
+    odd_primes = primes_upto(bound - 1)[1:]  # drop 2
+    return [reciprocity_check(p, l) for p in odd_primes for l in odd_primes if p != l]
+
+
+def zeta_reference_one_array(s: float) -> float:
+    """sum_{n<=10^6} n^{-s} in double precision, one np.sum of all terms."""
+    n = np.arange(1, 10**6 + 1, dtype=np.float64)
+    return float(np.sum(np.power(n, -s, out=n)))  # in place: one 8 MB array, not two

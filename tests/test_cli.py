@@ -480,6 +480,17 @@ def test_packet_list_limit_above_cap_refused(capsys):
         f"faithful count 303796224 above listing limit {orbits.LIST_LIMIT_CAP}")
 
 
+def test_packet_negative_list_limit_refused(capsys):
+    # a negative limit lists nothing and used to print "above listing limit -1"
+    code, out, err = run_cli(capsys, ["orbits", "packet", "2", "2", "--list-limit", "-1"])
+    assert (code, out) == (1, "")
+    assert err == "wittkit: error: orbits packet --list-limit -1 is below 0\n"
+    code, out, err = run_cli(capsys, ["orbits", "packet", "2", "2", "--list-limit", "0"])
+    assert code == 0, err
+    assert json.loads(out)["result"]["orbits_omitted"] == (
+        "faithful count 2 above listing limit 0")
+
+
 def test_huge_prime_arguments_answer_fast(capsys, tmp_path):
     """19-digit primes are checked by Miller-Rabin, not trial division,
     so each command answers or refuses at once."""

@@ -2,14 +2,19 @@
 generated inputs. Each draw is seeded from property_seed(), so
 WITT_ORBIT_SEED replays a failing draw."""
 
+import csv
+import io
 import itertools
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import hypothesis
 import pytest
+from hypothesis import strategies as st
 
 from oracles import (
     _count_sweep,
@@ -25,11 +30,13 @@ from oracles import (
     is_irreducible_reference,
     is_prime_trial_division,
     kronecker_binary,
+    linking_table_reference,
     orbit_of as orbit_of_walk,
     pade_reconstruct_toeplitz,
     parse_witt_reference,
     square_table,
     transform_simpson,
+    zeta_reference_one_array,
 )
 from wittkit import cli
 from wittkit.cli import main
@@ -54,7 +61,7 @@ from wittkit.ntheory import _PSI, factorize, is_prime, kronecker_symbol, primes_
 from wittkit.orbits import FiniteLevelPoint, orbit_of, packet_report, packet_summary
 from wittkit.parser import ParseError, parse_witt
 from wittkit.poly import _GCD_PRIMES, Polynomial, _gcd_primes, _mulmod, _powmod
-from wittkit.reciprocity import REDEI_SEARCH_START, _redei_solutions
+from wittkit.reciprocity import REDEI_SEARCH_START, _redei_solutions, linking_table
 from wittkit.rings import GF, QQ, ZZ
 from wittkit.series import (
     pade_reconstruct,
@@ -64,7 +71,12 @@ from wittkit.series import (
 )
 from wittkit.util import property_seed
 from wittkit.witt import WittVector, ghost
-from wittkit.zeta import _degree_blocks, count_irreducibles, function_field_product_formula
+from wittkit.zeta import (
+    _degree_blocks,
+    count_irreducibles,
+    function_field_product_formula,
+    zeta_reference,
+)
 
 
 def random_coeff(rng, ring):
@@ -671,6 +683,34 @@ def test_redei_search_matches_rectangle():
                 p, l, q, bound)
 
 
+def test_linking_table_matches_kronecker_reference():
+    # every bound from 5 to 400, each against the pairs below it of the
+    # reference table at 400 (the same (p, l) order), and the cap itself
+    reference = linking_table_reference(400)
+    for bound in range(5, 401):
+        want = [row for row in reference if row[0] < bound and row[1] < bound]
+        assert linking_table(bound) == want, bound
+    assert linking_table(2000) == linking_table_reference(2000)
+
+
+def test_zeta_reference_matches_one_array_sum():
+    # bit for bit, at the workload's four s and at seeded s in (1, 50]
+    rng = random.Random(property_seed() + 49)
+    for s in [1.5, 2.0, 2.5, 3.0] + [50 - 49 * rng.random() for _ in range(200)]:
+        assert zeta_reference(s).hex() == zeta_reference_one_array(s).hex(), s
+    # in blocks of 2^15 terms the peak stays below 1 MiB; the whole array's
+    # 8 MB shows in the same measure
+    peaks = []
+    for f in (zeta_reference, zeta_reference_one_array):
+        tracemalloc.start()
+        try:
+            f(2.0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 2**20 < 8 * 10**6 < peaks[1], peaks
+
+
 def test_orbit_walk_matches_reference_walks():
     # every level p^n <= 5,000: the packet's listing against the walk that
     # stops at the first seen index, and orbit_of against the walk through
@@ -681,7 +721,8 @@ def test_orbit_walk_matches_reference_walks():
             if p**n > 5000:
                 break
             m = p**n - 1
-            assert packet_report(p, n)["orbits"] == _orbit_walk(p, n), (p, n)
+            walk = list(map(tuple, _orbit_walk(p, n)))  # the listing's rows are tuples
+            assert packet_report(p, n)["orbits"] == walk, (p, n)
             indices = range(m) if m <= 100 else {0, m - 1, *rng.sample(range(m), 3)}
             for a in indices:
                 P = FiniteLevelPoint(p, n, a)
@@ -695,7 +736,7 @@ def test_packet_summary_matches_reference_walk():
     rng = random.Random(property_seed() + 47)
     levels = [(p, n) for p in primes_upto(2000) for n in range(1, 18) if p**n <= 2 * 10**5]
     for p, n in rng.sample(levels, 40) + [(2, 1), (2, 17), (3, 11), (13, 4)]:
-        walk = _orbit_walk(p, n)
+        walk = list(map(tuple, _orbit_walk(p, n)))  # the listing's rows are tuples
         s = packet_summary(p, n)
         assert (s.orbit_count, s.orbit_length) == (len(walk), n), (p, n)
         assert s.faithful_count == sum(map(len, walk)), (p, n)
@@ -707,10 +748,59 @@ def test_packet_summary_matches_reference_walk():
         assert ("orbits_omitted" in report) != listed, (p, n, limit)
 
 
+# the values a table may hold: bools, ints past the int64 range, and the
+# floats whose text differs between encoders or from repr
+_TABLE_VALUES = st.one_of(
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**63, max_value=2**256),
+    st.integers(min_value=-(2**256), max_value=-(2**63) - 1),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300]),
+)
+
+
+@st.composite
+def _numeric_tables(draw):
+    """(rows, columns): rows of one width, columns None or distinct names."""
+    width = draw(st.integers(min_value=1, max_value=8))
+    names = st.text(alphabet="abcdefghijklmnopqrstuvwxyz_0123456789", min_size=1, max_size=8)
+    columns = draw(st.none() | st.lists(names, min_size=width, max_size=width, unique=True))
+    rows = draw(st.lists(st.tuples(*[_TABLE_VALUES] * width), max_size=12))
+    return rows, None if columns is None else tuple(columns)
+
+
 def test_render_matches_pure_python_encoder(tmp_path, monkeypatch):
-    """The JSON that _render writes, the orbit listing through the C encoder
-    included, against json.dumps(doc, indent=2, sort_keys=True): on
-    generated listings and on every command's document in the render grid."""
+    """The tables that _write_table writes against json.dumps(doc, indent=2,
+    sort_keys=True), csv.writer and str: on hypothesis-generated numeric
+    tables and generated listings; and the JSON that _render writes on
+    every command's document in the render grid."""
+
+    def check_table(rows, columns):
+        value = [dict(zip(columns, row)) for row in rows] if columns else rows
+        want = json.dumps({"result": {"rows": value}}, indent=2, sort_keys=True)
+        got = '{\n  "result": {\n    "rows": ' + cli._write_table(rows, columns, "json")
+        assert got + "\n  }\n}" == want
+        names = columns or tuple(f"c{i}" for i in range(len(rows[0]) if rows else 1))
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        assert "".join(line + "\n" for line in cli._write_table(rows, names, "csv")) == (
+            buf.getvalue())
+        assert cli._write_table(rows, names, "plain") == [
+            " ".join(map(str, row)) for row in rows]
+
+    for rows in ([], [(math.nan, -0.0, 5e-324)], [(True, 2**64, -(2**63) - 1, 1e300)]):
+        check_table(rows, None)
+        check_table(rows, ("z", "y", "x", "w")[:len(rows[0]) if rows else 1])
+
+    @hypothesis.seed(property_seed() + 50)
+    @hypothesis.settings(max_examples=400, deadline=None, database=None)
+    @hypothesis.given(_numeric_tables())
+    def check_generated(table):
+        check_table(*table)
+
+    check_generated()
+
     rng = random.Random(property_seed() + 48)
 
     def expected(args, result):

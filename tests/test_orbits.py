@@ -1,4 +1,5 @@
 import cmath
+import gc
 import math
 import time
 
@@ -69,12 +70,29 @@ def test_packet_counts_match_phi():
 def test_packet_report_listing():
     report = packet_report(2, 3)
     assert report["orbit_count"] == 2
-    assert report["orbits"] == [[1, 2, 4], [3, 6, 5]]
+    assert report["orbits"] == [(1, 2, 4), (3, 6, 5)]
     assert report["generator"] == "t"
     # above the listing limit the orbits are omitted with a reason
     big = packet_report(2, 20, list_limit=10)
     assert big["orbits"] is None
     assert "listing limit" in big["orbits_omitted"]
+
+
+def test_orbit_rows_are_plain_tuples_the_collector_untracks():
+    # a listed orbit is an exact tuple of ints, untracked at the first
+    # collection, so a listing of thousands of orbits adds nothing to later
+    # full ones; a list row would stay tracked for as long as the listing
+    orbits = packet_report(13, 4)["orbits"] + packet_report(1009, 1)["orbits"]
+    assert len(orbits) == euler_phi(13**4 - 1) // 4 + euler_phi(1008)
+    gc.collect()
+    assert all(type(orbit) is tuple for orbit in orbits)
+    assert not any(gc.is_tracked(orbit) for orbit in orbits)
+
+
+def test_packet_list_limit_below_zero_refused():
+    with pytest.raises(ValueError, match=r"^orbits packet --list-limit -1 is below 0$"):
+        packet_report(2, 2, list_limit=-1)
+    assert packet_report(2, 2, list_limit=0)["orbits"] is None
 
 
 def test_packet_size_limit():
