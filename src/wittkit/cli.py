@@ -6,9 +6,9 @@ goes to stdout or --out. Formats: plain (default), json (validates
 against schemas/cli_output.schema.json), csv (tabular results only);
 `_render` builds only the format asked for. The tables (linking rows,
 ledger entries, orbit listings) are exact tuples of numbers, written by
-`_write_table` one %-format per row: in JSON from the C encoder's
-tokens, byte for byte json.dumps(doc, indent=2, sort_keys=True), which
-would otherwise run the pure-Python encoder. Exit codes: 0 success, 1
+`_write_table`; their JSON is laid out from the C encoder's output, byte
+for byte what json.dumps(doc, indent=2, sort_keys=True) writes with the
+pure-Python encoder that indent forces. Exit codes: 0 success, 1
 computation error, 2 usage error. The argparse tree is built once per
 process (`build_parser` is cached) and reused by every `main` call;
 parsing keeps no state between calls.
@@ -344,15 +344,16 @@ def _write_table(rows, columns, fmt: str):
     if not rows:
         return "[]"
     body = json.dumps(rows, separators=(",", ":"))[2:-2]
+    inner, item = "\n      ", "\n        "  # the indents of a row and of a value
     if not columns:
-        body = body.replace(",", ",\n        ").replace("],\n        [", "\n      ],\n      [\n        ")
-        return "[\n      [\n        " + body + "\n      ]\n    ]"
+        body = body.replace(",", "," + item).replace(f"],{item}[", f"{inner}],{inner}[{item}")
+        return f"[{inner}[{item}{body}{inner}]\n    ]"
     width = len(columns)
     tokens = body.replace("],[", ",").split(",")
     order = sorted(range(width), key=columns.__getitem__)
-    row = "{" + ",".join(f'\n        "{columns[i]}": %s' for i in order) + "\n      }"
+    row = "{" + ",".join(f'{item}"{columns[i]}": %s' for i in order) + inner + "}"
     rows = map(row.__mod__, zip(*[tokens[i::width] for i in order]))
-    return "[\n      " + ",\n      ".join(rows) + "\n    ]"
+    return f"[{inner}" + f",{inner}".join(rows) + "\n    ]"
 
 
 def _render(args, result, plain_lines) -> str:

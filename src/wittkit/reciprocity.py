@@ -24,7 +24,7 @@ from .ntheory import is_prime, kronecker_symbol, primes_upto, sqrt_mod_prime
 
 REDEI_SEARCH_START = 64
 REDEI_SEARCH_CAP = 2**20
-# pi(B)^2 rows: `linking table --bound 2000` takes about 0.3 s as csv, 0.4 s as
+# pi(B)^2 rows: `linking table --bound 2000` takes about 0.3 s as csv, 0.5 s as
 # json, in a fresh process on a 2-core Xeon
 LINKING_BOUND_CAP = 2000
 

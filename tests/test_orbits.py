@@ -89,12 +89,6 @@ def test_orbit_rows_are_plain_tuples_the_collector_untracks():
     assert not any(gc.is_tracked(orbit) for orbit in orbits)
 
 
-def test_packet_list_limit_below_zero_refused():
-    with pytest.raises(ValueError, match=r"^orbits packet --list-limit -1 is below 0$"):
-        packet_report(2, 2, list_limit=-1)
-    assert packet_report(2, 2, list_limit=0)["orbits"] is None
-
-
 def test_packet_size_limit():
     with pytest.raises(ValueError, match="10\\^9"):
         packet_summary(2, 31)
