@@ -147,6 +147,7 @@ def _run_zeta(args) -> tuple:
 
 def _run_orbits(args) -> tuple:
     plain = args.format == "plain"  # prints neither the listing nor the generator: no walk
+    orbits.check_list_limit(args.list_limit)
     report = (vars(orbits.packet_summary(args.p, args.n)) if plain
               else orbits.packet_report(args.p, args.n, list_limit=args.list_limit))
     lines = [

@@ -117,9 +117,6 @@ class FiniteField:
         p = self.p
         return tuple(-x % p for x in a)
 
-    def sub(self, a: FFElem, b: FFElem) -> FFElem:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: FFElem, b: FFElem) -> FFElem:
         return _mulmod(a, b, self._low, self.p)
 

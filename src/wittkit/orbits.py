@@ -61,10 +61,6 @@ def frobenius_power(P: FiniteLevelPoint, nu: int) -> FiniteLevelPoint:
     return FiniteLevelPoint(P.p, P.n, (P.a * nu) % P.m)
 
 
-def frobenius_step(P: FiniteLevelPoint) -> FiniteLevelPoint:
-    return frobenius_power(P, P.p)
-
-
 def _orbit(a: int, p: int, m: int) -> list[int]:
     """The Frobenius walk a, a p, a p^2, ... mod m until a returns."""
     orbit = [a]
@@ -125,15 +121,19 @@ def packet_summary(p: int, n: int) -> PacketSummary:
                          suspension_length=n * math.log(p), faithful_count=faithful)
 
 
-def packet_report(p: int, n: int, list_limit: int = 10**4) -> dict:
-    """JSON-ready packet summary; the orbit listing is walked and included
-    only when the faithful count stays within list_limit, itself from 0 to
-    LIST_LIMIT_CAP."""
+def check_list_limit(list_limit: int) -> None:
+    """Refuse a --list-limit outside 0..LIST_LIMIT_CAP, whatever the format."""
     if list_limit < 0:
         raise ValueError(f"orbits packet --list-limit {list_limit} is below 0")
     if list_limit > LIST_LIMIT_CAP:
         raise ValueError(f"orbits packet --list-limit {list_limit} is above the cap"
                          f" {LIST_LIMIT_CAP}")
+
+
+def packet_report(p: int, n: int, list_limit: int = 10**4) -> dict:
+    """JSON-ready packet summary; the orbit listing is walked and included
+    only when the faithful count stays within list_limit."""
+    check_list_limit(list_limit)
     s = packet_summary(p, n)
     field = finite_field_make(p, n) if p**n <= DEFAULT_FIELD_LIMIT else None
     report = {**vars(s), "generator": field.format_element(field.gen) if field else None}

@@ -7,10 +7,13 @@ Grammar, with ordinary precedence and parenthesization:
     factor := atom ["^" ["-"] integer]
     atom   := integer | "t" | "(" expr ")"
 
-The expression is evaluated over Z, so a literal a/b stays the pair
-(a, b), and the result has one canonicalization, WittVector over Z. It
-must have constant term 1. Q is used only when Z refuses: a result that
-is not integral, such as (2 - t)/2, comes back over Q.
+The expression is evaluated over Z, on (num, den) pairs of int lists, so
+a literal a/b stays the pair (a, b), and the result has one
+canonicalization, WittVector over Z. It must have constant term 1. Q is
+used only when Z refuses: a result that is not integral, such as
+(2 - t)/2, comes back over Q. Besides POWER_CAP on each power, one budget
+on the coefficient bits and the products of the whole expression refuses
+a large one before its work.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ class _Tokens:
             raise ParseError(f"unexpected character {ch!r}", i)
         self.toks.append(("end", None, n))
         self.k = 0
+        self.work = 0  # weighted products so far, see _charge
 
     def peek(self):
         return self.toks[self.k]
@@ -68,50 +72,115 @@ class _Tokens:
         return t
 
 
-# rational functions as (num, den) pairs over Z; reduction waits for the end
-_RF = tuple[Polynomial, Polynomial]
+# rational functions as (num, den) pairs of trimmed ascending int lists over
+# Z; pairs share lists, so no helper mutates its input
+_RF = tuple[list, list]
+
+# one budget for the whole expression, checked before each product and power:
+# the bound on the coefficient bits stays within EXPR_BITS_CAP, about the
+# 4,300 digits Python prints, and the products summed over the parse, each
+# weighted by (1 + bits / 256) per factor, within EXPR_WORK_CAP, about 1 s on
+# a 2-core Xeon: (1 - t)^1000 needs 3.6e6 and parses in about 0.3 s
+EXPR_BITS_CAP = 14000
+EXPR_WORK_CAP = 10**7
 
 
-def _one() -> Polynomial:
-    return Polynomial.one(ZZ)
+def _charge(toks: _Tokens, work: int, bits: int, pos: int) -> None:
+    toks.work += work
+    for need, cap, what in ((bits, EXPR_BITS_CAP, "coefficient bits"),
+                            (toks.work, EXPR_WORK_CAP, "weighted products")):
+        if need > cap:
+            raise ParseError(f"expression needs {need} {what}, above the cap {cap}", pos)
 
 
-def _rf_add(a: _RF, b: _RF) -> _RF:
-    return (a[0] * b[1] + b[0] * a[1], a[1] * b[1])
+def _bits(p: list) -> int:
+    """ceil(log2) of the 1-norm of p != 0: it bounds every coefficient's
+    bits, and adds up under products."""
+    return (sum(map(abs, p)) - 1).bit_length()
+
+
+def _work(a: list, len_b: int, bits_a: int, bits_b: int) -> int:
+    return (len(a) - a.count(0)) * len_b * (256 + bits_a) * (256 + bits_b) >> 16
+
+
+def _product(a: list, b: list) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _mul(a: list, b: list, toks: _Tokens, pos: int) -> list:
+    """The one list product, charged first; a factor [1] returns the other."""
+    if not a or not b:
+        return []
+    if a == [1] or b == [1]:
+        return b if a == [1] else a
+    bits_a, bits_b = _bits(a), _bits(b)
+    _charge(toks, _work(a, len(b), bits_a, bits_b), bits_a + bits_b, pos)
+    return _product(a, b)
+
+
+def _rf_add(a: _RF, b: _RF, toks: _Tokens, pos: int) -> _RF:
+    x, y, den = a[0], b[0], a[1]
+    if a[1] != [1] or b[1] != [1]:
+        x, y, den = _mul(x, b[1], toks, pos), _mul(y, a[1], toks, pos), _mul(den, b[1], toks, pos)
+    n = max(len(x), len(y))
+    out = [u + v for u, v in zip(x + [0] * (n - len(x)), y + [0] * (n - len(y)))]
+    while out and not out[-1]:
+        out.pop()
+    return (out, den)
 
 
 def _rf_neg(a: _RF) -> _RF:
-    return (-a[0], a[1])
+    return ([-c for c in a[0]], a[1])
 
 
-def _rf_mul(a: _RF, b: _RF) -> _RF:
-    return (a[0] * b[0], a[1] * b[1])
+def _rf_mul(a: _RF, b: _RF, toks: _Tokens, pos: int) -> _RF:
+    return (_mul(a[0], b[0], toks, pos), _mul(a[1], b[1], toks, pos))
 
 
-def _rf_div(a: _RF, b: _RF, pos: int) -> _RF:
-    if b[0].is_zero():
+def _rf_div(a: _RF, b: _RF, toks: _Tokens, pos: int) -> _RF:
+    if not b[0]:
         raise ParseError("division by zero", pos)
-    return (a[0] * b[1], a[1] * b[0])
+    return (_mul(a[0], b[1], toks, pos), _mul(a[1], b[0], toks, pos))
 
 
 # cap on |e| times the size of the base, its degree or, for a constant, the
-# bit length of its coefficients: (1 - t)^1000 parses in about 0.5 s
+# bit length of its coefficients
 POWER_CAP = 1000
 
 
-def _rf_pow(a: _RF, e: int, pos: int) -> _RF:
-    degree = max(a[0].degree, a[1].degree)
-    size = degree or max(abs(c).bit_length() for c in a[0].coeffs + a[1].coeffs)
+def _pow(p: list, e: int, toks: _Tokens, pos: int) -> list:
+    """p^e for e >= 1: zero and a monomial c t^k directly, else by e - 1
+    products, charged up front from the bound k * bits on p^k."""
+    if not p:
+        return p
+    bits, d, monomial = _bits(p), len(p) - 1, not any(p[:-1])
+    work = 0 if monomial else sum(_work(p, k * d + 1, bits, k * bits) for k in range(1, e))
+    _charge(toks, work, e * bits, pos)
+    if monomial:
+        return [0] * (d * e) + [p[-1] ** e]
+    out = p
+    for _ in range(e - 1):
+        out = _product(p, out)
+    return out
+
+
+def _rf_pow(a: _RF, e: int, toks: _Tokens, pos: int) -> _RF:
+    degree = max(len(a[0]), len(a[1])) - 1
+    size = degree or max(abs(c).bit_length() for c in a[0] + a[1])
     if abs(e) * size > POWER_CAP:
         what = "degree" if degree else "bits"
         raise ParseError(f"power needs |exponent| * {what} = {abs(e)} * {size},"
                          f" above the cap {POWER_CAP}", pos)
     if e < 0:
-        return _rf_pow(_rf_div((_one(), _one()), a, pos), -e, pos)
-    num, den = _one(), _one()
-    for _ in range(e):
-        num, den = num * a[0], den * a[1]
-    return (num, den)
+        return _rf_pow(_rf_div(([1], [1]), a, toks, pos), -e, toks, pos)
+    if e == 0:  # 0^0 included
+        return ([1], [1])
+    return (_pow(a[0], e, toks, pos), _pow(a[1], e, toks, pos))
 
 
 def _parse_expr(toks: _Tokens) -> _RF:
@@ -122,9 +191,9 @@ def _parse_expr(toks: _Tokens) -> _RF:
     if sign < 0:
         acc = _rf_neg(acc)
     while toks.peek()[0] in ("+", "-"):
-        op = toks.advance()[0]
+        op, _, pos = toks.advance()
         rhs = _parse_term(toks)
-        acc = _rf_add(acc, _rf_neg(rhs) if op == "-" else rhs)
+        acc = _rf_add(acc, _rf_neg(rhs) if op == "-" else rhs, toks, pos)
     return acc
 
 
@@ -135,9 +204,9 @@ def _parse_term(toks: _Tokens) -> _RF:
         if kind in ("*", "/"):
             toks.advance()
             rhs = _parse_factor(toks)
-            acc = _rf_mul(acc, rhs) if kind == "*" else _rf_div(acc, rhs, pos)
+            acc = (_rf_mul if kind == "*" else _rf_div)(acc, rhs, toks, pos)
         elif kind in ("int", "t", "("):
-            acc = _rf_mul(acc, _parse_factor(toks))
+            acc = _rf_mul(acc, _parse_factor(toks), toks, pos)
         else:
             return acc
 
@@ -153,16 +222,16 @@ def _parse_factor(toks: _Tokens) -> _RF:
         kind, value, vpos = toks.advance()
         if kind != "int":
             raise ParseError(f"expected integer exponent, found {kind!r}", vpos)
-        acc = _rf_pow(acc, sign * value, pos)
+        acc = _rf_pow(acc, sign * value, toks, pos)
     return acc
 
 
 def _parse_atom(toks: _Tokens) -> _RF:
     kind, value, pos = toks.advance()
     if kind == "int":
-        return (Polynomial(ZZ, [value]), _one())
+        return ([value] if value else [], [1])
     if kind == "t":
-        return (Polynomial.t(ZZ), _one())
+        return ([0, 1], [1])
     if kind == "(":
         inner = _parse_expr(toks)
         close, _, cpos = toks.advance()
@@ -181,6 +250,7 @@ def parse_witt(expr: str) -> WittVector:
     kind, _, pos = toks.peek()
     if kind != "end":
         raise ParseError(f"unexpected {kind!r}", pos)
+    num, den = Polynomial(ZZ, num), Polynomial(ZZ, den)
     try:
         return WittVector(num, den)
     except ValueError:  # not integral, or not a Witt vector: Q decides

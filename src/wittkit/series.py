@@ -9,7 +9,7 @@ Newton's identities between the coefficients of a polynomial and its
 power sums live here once: power_sums is the forward recurrence,
 poly_from_power_sums the inverse. Ghost components and their inverse,
 the zeta series of a point-count table, the tensor determinant and F_nu
-are all built on this pair.
+are all built on this pair, which sums products over coefficient slices.
 
 Padé reconstruction is rational-function reconstruction by the extended
 Euclidean algorithm on Polynomial over Q; the Toeplitz solve it replaces
@@ -18,6 +18,7 @@ is a test oracle in tests/oracles.py.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Sequence
 
 from .poly import Polynomial
@@ -47,13 +48,12 @@ def power_sums(P: Polynomial, m: int) -> list:
     coefficient ring works. Equivalently -t P'/P = sum p_k t^k, which
     holds for any P with constant term 1, not only for products.
     """
-    R = P.ring
+    R, c, d = P.ring, P.coeffs, P.degree
     out: list = []
     for n in range(1, m + 1):
-        acc = -n * P[n]
-        for k in range(max(1, n - P.degree), n):  # P[n - k] = 0 for smaller k
-            acc -= out[k - 1] * P[n - k]
-        out.append(R.coerce(acc))
+        lo = max(1, n - d)  # the terms out[k - 1] * c[n - k], k >= lo; c[n - k] = 0 below
+        acc = -n * c[n] if n <= d else 0
+        out.append(R.coerce(acc - sum(map(mul, out[lo - 1:n - 1], c[n - lo:0:-1]))))
     return out
 
 
@@ -63,9 +63,7 @@ def poly_from_power_sums(ring: Ring, sums: Sequence, degree: int) -> Polynomial:
     determinant coefficients)."""
     c: list = [ring.coerce(1)]
     for n in range(1, degree + 1):
-        acc = sums[n - 1]
-        for k in range(1, n):
-            acc += sums[k - 1] * c[n - k]
+        acc = sums[n - 1] + sum(map(mul, sums[:n - 1], c[n - 1:0:-1]))
         c.append(ring.div(-acc, n))
     return Polynomial(ring, c)
 

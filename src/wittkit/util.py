@@ -2,21 +2,7 @@
 
 from __future__ import annotations
 
-import os
 from typing import Iterable
-
-DEFAULT_PROPERTY_SEED = 20260823
-
-
-def property_seed() -> int:
-    """Seed for randomized property tests; WITT_ORBIT_SEED overrides."""
-    raw = os.environ.get("WITT_ORBIT_SEED")
-    if raw is None:
-        return DEFAULT_PROPERTY_SEED
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"WITT_ORBIT_SEED must be an integer, got {raw!r}") from None
 
 
 def kahan_sum(values: Iterable[float]) -> float:

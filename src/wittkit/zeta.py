@@ -133,18 +133,6 @@ def projective_plane_counts(
     return PointCountTable.make(p, counts)
 
 
-def homogenize(terms: list[tuple[int, tuple[int, int]]], degree: int | None = None):
-    """Plane-curve terms in (x, y) -> homogeneous terms in (x, y, z)."""
-    if degree is None:
-        degree = max(ex + ey for _, (ex, ey) in terms)
-    out = []
-    for c, (ex, ey) in terms:
-        if ex + ey > degree:
-            raise ValueError("term degree above homogenization degree")
-        out.append((c, (ex, ey, degree - ex - ey)))
-    return out
-
-
 # --- product formulas ---
 
 

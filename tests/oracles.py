@@ -50,13 +50,21 @@ constructions that the Newton power-sum routes in wittkit replace:
   prime in wittkit.reciprocity.linking_table;
 - zeta_reference_one_array, the reference sum as one np.sum over the
   whole 8 MB array, instead of the 2^15-term blocks of
-  wittkit.zeta.zeta_reference.
+  wittkit.zeta.zeta_reference;
+- power_sums_reference and poly_from_power_sums_reference, both Newton
+  recurrences as index loops over Polynomial.__getitem__, instead of the
+  sums of products over coefficient slices in wittkit.series.
+
+It also keeps the helpers that only the tests use: property_seed, the
+seed of the generated inputs; homogenize, plane-curve terms made
+homogeneous; and frobenius_step, F_p on a FiniteLevelPoint.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 from itertools import product
 from typing import NamedTuple, Sequence
 
@@ -65,13 +73,26 @@ import numpy as np
 from wittkit.explicit import TestFunction
 from wittkit.finitefield import _is_irreducible, finite_field_make, monic_polys
 from wittkit.ntheory import factorize, primes_upto
-from wittkit.orbits import FiniteLevelPoint, frobenius_step
+from wittkit.orbits import FiniteLevelPoint, frobenius_power
 from wittkit.parser import ParseError, _Tokens
 from wittkit.poly import Polynomial
 from wittkit.reciprocity import reciprocity_check
 from wittkit.rings import GF, QQ, ZZ, Ring
 from wittkit.series import series_of_rational
 from wittkit.witt import WittVector
+
+DEFAULT_PROPERTY_SEED = 20260823
+
+
+def property_seed() -> int:
+    """Seed for randomized property tests; WITT_ORBIT_SEED overrides."""
+    raw = os.environ.get("WITT_ORBIT_SEED")
+    if raw is None:
+        return DEFAULT_PROPERTY_SEED
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"WITT_ORBIT_SEED must be an integer, got {raw!r}") from None
 
 
 class Matrix:
@@ -735,6 +756,10 @@ def _redei_solutions(p: int, l: int, q: int, bound: int) -> list[tuple[int, int,
     return out
 
 
+def frobenius_step(P: FiniteLevelPoint) -> FiniteLevelPoint:
+    return frobenius_power(P, P.p)
+
+
 def orbit_of(P: FiniteLevelPoint) -> list[FiniteLevelPoint]:
     """Iterate frobenius_step until the start returns."""
     orbit = [P]
@@ -777,3 +802,45 @@ def zeta_reference_one_array(s: float) -> float:
     """sum_{n<=10^6} n^{-s} in double precision, one np.sum of all terms."""
     n = np.arange(1, 10**6 + 1, dtype=np.float64)
     return float(np.sum(np.power(n, -s, out=n)))  # in place: one 8 MB array, not two
+
+
+def power_sums_reference(P: Polynomial, m: int) -> list:
+    """p_1..p_m with p_k = sum of a_i^k where P = prod(1 - a_i t).
+
+    Newton's identity in the direction that needs no division, so any
+    coefficient ring works. Equivalently -t P'/P = sum p_k t^k, which
+    holds for any P with constant term 1, not only for products.
+    """
+    R = P.ring
+    out: list = []
+    for n in range(1, m + 1):
+        acc = -n * P[n]
+        for k in range(max(1, n - P.degree), n):  # P[n - k] = 0 for smaller k
+            acc -= out[k - 1] * P[n - k]
+        out.append(R.coerce(acc))
+    return out
+
+
+def poly_from_power_sums_reference(ring: Ring, sums: Sequence, degree: int) -> Polynomial:
+    """Inverse of power_sums, to the given degree; the divisions by n are
+    exact for genuine power-sum data (over Z they recover integer
+    determinant coefficients)."""
+    c: list = [ring.coerce(1)]
+    for n in range(1, degree + 1):
+        acc = sums[n - 1]
+        for k in range(1, n):
+            acc += sums[k - 1] * c[n - k]
+        c.append(ring.div(-acc, n))
+    return Polynomial(ring, c)
+
+
+def homogenize(terms: list[tuple[int, tuple[int, int]]], degree: int | None = None):
+    """Plane-curve terms in (x, y) -> homogeneous terms in (x, y, z)."""
+    if degree is None:
+        degree = max(ex + ey for _, (ex, ey) in terms)
+    out = []
+    for c, (ex, ey) in terms:
+        if ex + ey > degree:
+            raise ValueError("term degree above homogenization degree")
+        out.append((c, (ex, ey, degree - ex - ey)))
+    return out

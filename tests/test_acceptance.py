@@ -7,6 +7,7 @@ import math
 import random
 import time
 
+from oracles import homogenize, property_seed
 from wittkit.explicit import TestFunction, explicit_formula_defect, load_bundled_zeros
 from wittkit.ntheory import euler_phi, primes_upto
 from wittkit.orbits import (
@@ -20,7 +21,6 @@ from wittkit.orbits import (
 from wittkit.poly import Polynomial
 from wittkit.reciprocity import linking_table, redei_symbol
 from wittkit.rings import GF, QQ, ZZ
-from wittkit.util import property_seed
 from wittkit.witt import (
     WittVector,
     frobenius,
@@ -36,7 +36,6 @@ from wittkit.zeta import (
     euler_vs_ruelle,
     function_field_product_formula,
     hasse_check,
-    homogenize,
     ledger_spec_z,
     product_formula_defect,
     product_formula_scale,

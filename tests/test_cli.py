@@ -9,12 +9,11 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from oracles import parse_witt_reference
+from oracles import DEFAULT_PROPERTY_SEED, parse_witt_reference, property_seed
 from wittkit import cli, orbits
 from wittkit.cli import main
 from wittkit.ntheory import SIEVE_LIMIT
 from wittkit.rings import QQ, ZZ
-from wittkit.util import DEFAULT_PROPERTY_SEED, property_seed
 from wittkit.witt import witt_add, witt_mul, witt_sub
 
 SCHEMA = json.loads(
@@ -443,6 +442,36 @@ def test_powers_refused_above_the_cap(capsys):
     assert code == 0 and out.endswith(f"\n1 - {7**333}t\n")
 
 
+def test_expression_budget_refused_fast(capsys):
+    """One budget covers the whole expression. Each power below is within
+    POWER_CAP: the triple power ran 8 s and printed 1.98 MB, and the big
+    coefficient ran 1.2 s and then failed on Python's 4,300-digit limit."""
+    cases = [
+        (["witt", "add", "(1-t)^1000*(1-t)^1000*(1-t)^1000", "1"],
+         "expression needs 31357009 weighted products, above the cap"
+         " 10000000 at position 10"),
+        (["witt", "add", "(1-999999999t)^1000", "1"],
+         "expression needs 30000 coefficient bits, above the cap 14000 at position 14"),
+        (["witt", "parse", "1-(999999999t)^1000"],
+         "expression needs 30000 coefficient bits, above the cap 14000 at position 14"),
+    ]
+    for argv, message in cases:
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (1, "", f"wittkit: error: {message}\n")
+    # a product of two powers within the budget still answers
+    code, out, _ = run_cli(capsys, ["witt", "parse", "(1-t)^500*(1-t)^500"])
+    assert code == 0 and out.endswith(" - 1000t^999 + t^1000\n")
+
+
+def test_witt_mul_json_matches_committed_file(capsys):
+    # the file CI compares the installed package against
+    expected = (Path(__file__).parent / "data" / "witt_mul_expected.json").read_text()
+    argv = ["witt", "mul", "(1-t+2t^2)/(1+t)", "(1+3t)/(1-t^2)", "--format", "json"]
+    assert run_cli(capsys, argv) == (0, expected, "")
+
+
 def test_linking_table_above_cap_refused(capsys):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, ["linking", "table", "--bound", "2000000"])
@@ -489,6 +518,20 @@ def test_packet_negative_list_limit_refused(capsys):
     assert code == 0, err
     assert json.loads(out)["result"]["orbits_omitted"] == (
         "faithful count 2 above listing limit 0")
+
+
+def test_packet_list_limit_checked_in_plain_output(capsys):
+    # plain output prints no listing, yet the flag is refused as in JSON
+    for limit, message in [
+        ("-1", "orbits packet --list-limit -1 is below 0"),
+        ("1000000000",
+         f"orbits packet --list-limit 1000000000 is above the cap {orbits.LIST_LIMIT_CAP}"),
+    ]:
+        argv = ["orbits", "packet", "2", "2", "--list-limit", limit, "--format", "plain"]
+        assert run_cli(capsys, argv) == (1, "", f"wittkit: error: {message}\n")
+    code, out, err = run_cli(capsys, ["orbits", "packet", "2", "2", "--list-limit", "0",
+                                      "--format", "plain"])
+    assert code == 0 and "faithful characters: 2\n" in out, err
 
 
 def test_huge_prime_arguments_answer_fast(capsys, tmp_path):

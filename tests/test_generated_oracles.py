@@ -34,6 +34,9 @@ from oracles import (
     orbit_of as orbit_of_walk,
     pade_reconstruct_toeplitz,
     parse_witt_reference,
+    poly_from_power_sums_reference,
+    power_sums_reference,
+    property_seed,
     square_table,
     transform_simpson,
     zeta_reference_one_array,
@@ -69,7 +72,6 @@ from wittkit.series import (
     power_sums,
     series_of_rational,
 )
-from wittkit.util import property_seed
 from wittkit.witt import WittVector, ghost
 from wittkit.zeta import (
     _degree_blocks,
@@ -107,6 +109,40 @@ def test_power_sums_round_trip():
             P = random_poly(rng, ring, max_degree)
             d = P.degree
             assert poly_from_power_sums(ring, power_sums(P, d), d) == P, P
+
+
+def test_newton_pair_matches_index_loops():
+    """The slice sums of series against the index loops they replaced, over
+    Z, Q and F_p: the zero polynomial, degree 0, m below the degree, m = 0
+    and 200-bit coefficients, and inverse data that need not divide."""
+    rng = random.Random(property_seed() + 25)
+
+    def coeff(ring, bits):
+        c = rng.randint(-2**bits, 2**bits)
+        return Fraction(c, rng.randint(1, 2**bits)) if ring == QQ else c
+
+    def outcome(f, *args):
+        try:
+            return f(*args)
+        except (ValueError, ZeroDivisionError) as exc:
+            return type(exc).__name__, str(exc)
+
+    for ring in (ZZ, QQ, GF(5), GF(7), GF(2**61 - 1)):
+        cases = [Polynomial.zero(ring), Polynomial(ring, [3]), Polynomial.one(ring)]
+        for _ in range(40):
+            bits = rng.choice((3, 200))
+            cases.append(Polynomial(ring, [coeff(ring, bits) for _ in range(rng.randint(1, 8))]))
+        for P in cases:
+            for m in sorted({0, 1, max(P.degree - 1, 0), P.degree + 5, 3 * P.degree}):
+                sums = power_sums(P, m)
+                assert sums == power_sums_reference(P, m), (P, m)
+                assert [type(x) for x in sums] == [type(x) for x in power_sums_reference(P, m)]
+                # over F_p the inverse divides by 1..degree, so degree stays below p
+                degree = min(m, ring.characteristic - 1) if ring.characteristic else m
+                for data in (sums, [coeff(ring, bits) for _ in range(m)]):
+                    got = outcome(poly_from_power_sums, ring, data, degree)
+                    assert got == outcome(poly_from_power_sums_reference, ring, data, degree), (
+                        ring, data, degree)
 
 
 def test_monic_polys_in_code_order():
@@ -401,9 +437,19 @@ def _parse_outcome(route, text):
 def test_parser_matches_q_route():
     rng = random.Random(property_seed() + 23)
     fixed = ["1/2 - t", "(2-t)/2", "(1-t)^-2", "t/t", "1 + 0t - 0", "1/(t-t)",
-             "2-t", "(2-4t)/(2+2t)", "(3-t)/(3+t)", "1 + t^-1", "0", "(1-2t)/(1-2t)^2"]
+             "2-t", "(2-4t)/(2+2t)", "(3-t)/(3+t)", "1 + t^-1", "0", "(1-2t)/(1-2t)^2",
+             # the monomial power, e = 0 and the zero base
+             "t^0", "0^0", "(0t)^3", "(2t)^3", "(-t)^5", "(t-t)^0", "3t^6/(1-t)^2",
+             "1-(0t)^3", "1+(2t)^3", "1-(-t)^5*(t-t)^0", "(t-t)^-1", "0^-2",
+             # one literal of each (num, den) degree shape of the witt mul workload
+             "(1-2t+3t^2)/(1+t-t^2)", "(1+t-3t^3)/(1-2t^2+t^3)",
+             "(1-t+2t^2-t^4)/(1+3t^2-2t^3+t^4)", "(1+2t-t^3+3t^5)/(1-t+t^2-2t^4+t^5)",
+             "(1-3t+t^2+2t^4-t^6)/(1+t-t^3+2t^5+3t^6)", "(1-t-t^2)/(1+2t-t^2+t^3-3t^6)",
+             "(1+3t^2-t^3+t^5-2t^6)/(1-2t+t^2)", "(1+t^2-2t^3)/(1-t+3t^3-t^4+t^5)",
+             "(1-2t-t^2+t^4+2t^5)/(1+t-t^3)", "(1+t-2t^2+t^4)/(1-3t+t^2)",
+             "(1-t^2)/(1+2t+t^2-t^3+3t^4)"]
     seen = set()
-    for case in range(1200):
+    for case in range(len(fixed) + 1188):
         text = fixed[case] if case < len(fixed) else rng.choice(
             EXPR_SHAPES).format(random_expr(rng))
         got = _parse_outcome(parse_witt, text)

@@ -5,13 +5,13 @@ import time
 
 import pytest
 
+from oracles import frobenius_step
 from wittkit.ntheory import euler_phi
 from wittkit.orbits import (
     FiniteLevelPoint,
     evaluate_integer,
     frobenius_equivariance_check,
     frobenius_power,
-    frobenius_step,
     orbit_of,
     packet_report,
     packet_summary,

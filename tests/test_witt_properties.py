@@ -2,9 +2,9 @@
 
 import random
 
+from oracles import property_seed
 from wittkit.poly import Polynomial
 from wittkit.rings import GF, QQ, ZZ
-from wittkit.util import property_seed
 from wittkit.witt import (
     WittVector,
     frobenius,

@@ -3,6 +3,7 @@ import math
 import pytest
 from fractions import Fraction
 
+from oracles import homogenize
 from wittkit.ntheory import kronecker_symbol, primes_upto
 from wittkit.poly import Polynomial
 from wittkit.rings import GF, QQ
@@ -15,7 +16,6 @@ from wittkit.zeta import (
     euler_vs_ruelle,
     function_field_product_formula,
     hasse_check,
-    homogenize,
     is_fundamental_discriminant,
     ledger_projective_line,
     ledger_quadratic,
