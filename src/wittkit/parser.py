@@ -11,14 +11,14 @@ The expression is evaluated over Z, on (num, den) pairs of int lists, so
 a literal a/b stays the pair (a, b), and the result has one
 canonicalization, WittVector over Z. It must have constant term 1. Q is
 used only when Z refuses: a result that is not integral, such as
-(2 - t)/2, comes back over Q. Besides POWER_CAP on each power, one budget
-on the coefficient bits and the products of the whole expression refuses
-a large one before its work.
+(2 - t)/2, comes back over Q. One budget on the whole expression is the
+only size gate: it bounds the coefficient bits, and charges each list
+operation and the canonicalising gcd before their work.
 """
 
 from __future__ import annotations
 
-from .poly import Polynomial
+from .poly import Polynomial, _product, _sum
 from .rings import QQ, ZZ
 from .witt import WittVector
 
@@ -47,7 +47,11 @@ class _Tokens:
                 j = i
                 while j < n and text[j].isdigit():
                     j += 1
-                self.toks.append(("int", int(text[i:j]), i))
+                digits = text[i:j].lstrip("0")
+                if len(digits) > 4215:  # at least 10^4215 > 2^14000
+                    raise ParseError(f"integer of {len(digits)} digits is above the cap"
+                                     f" {EXPR_BITS_CAP} on coefficient bits", i)
+                self.toks.append(("int", int(digits or "0"), i))
                 i = j
                 continue
             if ch == "t":
@@ -61,7 +65,7 @@ class _Tokens:
             raise ParseError(f"unexpected character {ch!r}", i)
         self.toks.append(("end", None, n))
         self.k = 0
-        self.work = 0  # weighted products so far, see _charge
+        self.work = 0  # charged so far, see _charge
 
     def peek(self):
         return self.toks[self.k]
@@ -76,21 +80,20 @@ class _Tokens:
 # Z; pairs share lists, so no helper mutates its input
 _RF = tuple[list, list]
 
-# one budget for the whole expression, checked before each product and power:
-# the bound on the coefficient bits stays within EXPR_BITS_CAP, about the
-# 4,300 digits Python prints, and the products summed over the parse, each
-# weighted by (1 + bits / 256) per factor, within EXPR_WORK_CAP, about 1 s on
-# a 2-core Xeon: (1 - t)^1000 needs 3.6e6 and parses in about 0.3 s
+# one budget for the whole expression, checked before each list operation and
+# the gcd: the bound on the coefficient bits stays within EXPR_BITS_CAP, about
+# the 4,300 digits Python prints, and the work charged over the parse within
+# EXPR_WORK_CAP, about 1 s on a 2-core Xeon
 EXPR_BITS_CAP = 14000
 EXPR_WORK_CAP = 10**7
 
 
 def _charge(toks: _Tokens, work: int, bits: int, pos: int) -> None:
     toks.work += work
-    for need, cap, what in ((bits, EXPR_BITS_CAP, "coefficient bits"),
-                            (toks.work, EXPR_WORK_CAP, "weighted products")):
-        if need > cap:
-            raise ParseError(f"expression needs {need} {what}, above the cap {cap}", pos)
+    if bits > EXPR_BITS_CAP or toks.work > EXPR_WORK_CAP:
+        need, cap, what = ((bits, EXPR_BITS_CAP, "coefficient bits") if bits > EXPR_BITS_CAP
+                           else (toks.work, EXPR_WORK_CAP, "work units"))
+        raise ParseError(f"expression needs {need} {what}, above the cap {cap}", pos)
 
 
 def _bits(p: list) -> int:
@@ -100,20 +103,14 @@ def _bits(p: list) -> int:
 
 
 def _work(a: list, len_b: int, bits_a: int, bits_b: int) -> int:
-    return (len(a) - a.count(0)) * len_b * (256 + bits_a) * (256 + bits_b) >> 16
-
-
-def _product(a: list, b: list) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
+    """The charge for _product(a, b): its products, each weighted by (1 + bits / 256)
+    per factor, and 8 per entry of a and of the result; (1-t)^1000 needs 7.6e6."""
+    products = (len(a) - a.count(0)) * len_b * (256 + bits_a) * (256 + bits_b) >> 16
+    return products + 8 * (2 * len(a) + len_b - 1)
 
 
 def _mul(a: list, b: list, toks: _Tokens, pos: int) -> list:
-    """The one list product, charged first; a factor [1] returns the other."""
+    """The list product, charged first; a factor [1] returns the other."""
     if not a or not b:
         return []
     if a == [1] or b == [1]:
@@ -127,14 +124,12 @@ def _rf_add(a: _RF, b: _RF, toks: _Tokens, pos: int) -> _RF:
     x, y, den = a[0], b[0], a[1]
     if a[1] != [1] or b[1] != [1]:
         x, y, den = _mul(x, b[1], toks, pos), _mul(y, a[1], toks, pos), _mul(den, b[1], toks, pos)
-    n = max(len(x), len(y))
-    out = [u + v for u, v in zip(x + [0] * (n - len(x)), y + [0] * (n - len(y)))]
-    while out and not out[-1]:
-        out.pop()
-    return (out, den)
+    _charge(toks, 8 * max(len(x), len(y)), 0, pos)
+    return (_sum(x, y), den)
 
 
-def _rf_neg(a: _RF) -> _RF:
+def _rf_neg(a: _RF, toks: _Tokens, pos: int) -> _RF:
+    _charge(toks, 8 * len(a[0]), 0, pos)
     return ([-c for c in a[0]], a[1])
 
 
@@ -148,21 +143,17 @@ def _rf_div(a: _RF, b: _RF, toks: _Tokens, pos: int) -> _RF:
     return (_mul(a[0], b[1], toks, pos), _mul(a[1], b[0], toks, pos))
 
 
-# cap on |e| times the size of the base, its degree or, for a constant, the
-# bit length of its coefficients
-POWER_CAP = 1000
-
-
 def _pow(p: list, e: int, toks: _Tokens, pos: int) -> list:
-    """p^e for e >= 1: zero and a monomial c t^k directly, else by e - 1
-    products, charged up front from the bound k * bits on p^k."""
+    """p^e for e >= 1: zero and a monomial c t^k directly, else by e - 1 products;
+    the bound e * bits comes first, so e <= 14000 before the loops run."""
     if not p:
         return p
-    bits, d, monomial = _bits(p), len(p) - 1, not any(p[:-1])
-    work = 0 if monomial else sum(_work(p, k * d + 1, bits, k * bits) for k in range(1, e))
-    _charge(toks, work, e * bits, pos)
-    if monomial:
+    bits, d = _bits(p), len(p) - 1
+    if not any(p[:-1]):
+        _charge(toks, 8 * (d * e + 1), e * bits, pos)
         return [0] * (d * e) + [p[-1] ** e]
+    _charge(toks, 0, e * bits, pos)
+    _charge(toks, sum(_work(p, k * d + 1, bits, k * bits) for k in range(1, e)), 0, pos)
     out = p
     for _ in range(e - 1):
         out = _product(p, out)
@@ -170,12 +161,6 @@ def _pow(p: list, e: int, toks: _Tokens, pos: int) -> list:
 
 
 def _rf_pow(a: _RF, e: int, toks: _Tokens, pos: int) -> _RF:
-    degree = max(len(a[0]), len(a[1])) - 1
-    size = degree or max(abs(c).bit_length() for c in a[0] + a[1])
-    if abs(e) * size > POWER_CAP:
-        what = "degree" if degree else "bits"
-        raise ParseError(f"power needs |exponent| * {what} = {abs(e)} * {size},"
-                         f" above the cap {POWER_CAP}", pos)
     if e < 0:
         return _rf_pow(_rf_div(([1], [1]), a, toks, pos), -e, toks, pos)
     if e == 0:  # 0^0 included
@@ -184,16 +169,16 @@ def _rf_pow(a: _RF, e: int, toks: _Tokens, pos: int) -> _RF:
 
 
 def _parse_expr(toks: _Tokens) -> _RF:
-    sign = 1
-    if toks.peek()[0] in ("+", "-"):
-        sign = -1 if toks.advance()[0] == "-" else 1
+    sign, _, pos = toks.peek()
+    if sign in ("+", "-"):
+        toks.advance()
     acc = _parse_term(toks)
-    if sign < 0:
-        acc = _rf_neg(acc)
+    if sign == "-":
+        acc = _rf_neg(acc, toks, pos)
     while toks.peek()[0] in ("+", "-"):
         op, _, pos = toks.advance()
         rhs = _parse_term(toks)
-        acc = _rf_add(acc, _rf_neg(rhs) if op == "-" else rhs, toks, pos)
+        acc = _rf_add(acc, _rf_neg(rhs, toks, pos) if op == "-" else rhs, toks, pos)
     return acc
 
 
@@ -239,7 +224,7 @@ def _parse_atom(toks: _Tokens) -> _RF:
             raise ParseError(f"expected ')', found {close!r}", cpos)
         return inner
     if kind == "-":
-        return _rf_neg(_parse_factor(toks))
+        return _rf_neg(_parse_factor(toks), toks, pos)
     raise ParseError(f"expected integer, 't' or '(', found {kind!r}", pos)
 
 
@@ -250,8 +235,14 @@ def parse_witt(expr: str) -> WittVector:
     kind, _, pos = toks.peek()
     if kind != "end":
         raise ParseError(f"unexpected {kind!r}", pos)
+    # the gcd, a Euclid mod p per 61-bit prime, then exact division and printing:
+    # 3 per pair, each length + 10, times (1 + bits / 64); (1-t^165110)/(1-t) takes 1.1 s
+    gcd = 3 * (len(num) + 10) * (len(den) + 10) * (64 + min(_bits(num), _bits(den))) >> 6
+    _charge(toks, gcd, 0, pos)
     num, den = Polynomial(ZZ, num), Polynomial(ZZ, den)
     try:
         return WittVector(num, den)
     except ValueError:  # not integral, or not a Witt vector: Q decides
+        # the gcd again, and 192 per Fraction coefficient: (2-2t^32733)/(1-t)/(2+t) 1.2 s
+        _charge(toks, gcd + 192 * (len(num.coeffs) + len(den.coeffs)), 0, pos)
         return WittVector(num.map_ring(QQ), den.map_ring(QQ))

@@ -2,24 +2,24 @@
 
 Coefficients are plain numbers (int over Z and F_p, Fraction over Q),
 stored ascending with trailing zeros trimmed; the zero polynomial has
-degree -1. Arithmetic uses Python's operators, and the constructor
+degree -1. Arithmetic uses Python's operators on the one list product
+`_product` and list sum `_sum`, which the parser shares; the constructor
 normalises every coefficient through the ring's coerce, which is where
-F_p reduces mod p. Division and gcd follow the usual conventions:
-gcd is monic over a field, primitive with positive leading coefficient
-over Z.
+F_p reduces mod p. Division and gcd follow the usual conventions: gcd is
+monic over a field, primitive with positive leading coefficient over Z.
 
 F_p[t] has one kernel, on plain-int residue lists that run ascending
-like `coeffs`: long division mod p, the Euclid `_gcd_mod`, products and
-powers mod a monic modulus, and `_frobenius_gcd`, t^(p^k) mod f by
-repeated p-th powers with its gcd against f after subtracting t.
-Rabin's test in `finitefield` and the distinct-degree factorisation in
-`zeta` run on it, and the Euclid serves every gcd. Over F_p it is the
-gcd itself. Over Z, and through it over Q, it takes the images of
-Brown's dense modular gcd modulo primes just below 2^61, which are
-combined by CRT and certified by exact trial division. An image of
-degree 0 proves the inputs coprime, which settles most calls after one
-prime. The gcd by primitive remainder sequences is kept in the tests,
-as its oracle.
+like `coeffs`: long division mod p, the Euclid `_gcd_mod`, products
+(`_product`, then a reduction) and powers mod a monic modulus, and
+`_frobenius_gcd`, t^(p^k) mod f by repeated p-th powers with its gcd
+against f after subtracting t. Rabin's test in `finitefield` and the
+distinct-degree factorisation in `zeta` run on it, and the Euclid serves
+every gcd. Over F_p it is the gcd itself. Over Z, and through it over
+Q, it takes the images of Brown's dense modular gcd modulo primes just
+below 2^61, which are combined by CRT and certified by exact trial
+division. An image of degree 0 proves the inputs coprime, which settles
+most calls after one prime. The gcd by primitive remainder sequences is
+kept in the tests, as its oracle.
 """
 
 from __future__ import annotations
@@ -88,8 +88,7 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
-        return Polynomial(self.ring, [a + b for a, b in pairs])
+        return Polynomial(self.ring, _sum(self.coeffs, other.coeffs))
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(self.ring, [-c for c in self.coeffs])
@@ -99,16 +98,7 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        R = self.ring
-        if self.is_zero() or other.is_zero():
-            return Polynomial.zero(R)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(R, out)
+        return Polynomial(self.ring, _product(self.coeffs, other.coeffs))
 
     def scale(self, c) -> "Polynomial":
         c = self.ring.coerce(c)
@@ -216,6 +206,26 @@ class Polynomial:
         return f"Polynomial({self.ring!r}, {list(self.coeffs)!r})"
 
 
+def _product(a: Sequence, b: Sequence) -> list:
+    """Schoolbook product of ascending coefficient lists; [] for an empty factor."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _sum(a: Sequence, b: Sequence) -> list:
+    """The sum of two ascending coefficient lists, trailing zeros trimmed."""
+    out = [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
 # Moduli of the Z[t] gcd: the primes just below 2^61, in descending order.
 _GCD_PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45, 2**61 - 229)
 
@@ -264,11 +274,8 @@ def _mulmod(a: Sequence[int], b: Sequence[int], low: tuple, p: int) -> tuple:
     """a * b mod (t^n + low(t)) over F_p, n = len(low); inputs need not
     be reduced mod p, the result is, padded to length n."""
     n = len(low)
-    prod = [0] * max(len(a) + len(b) - 1, n)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                prod[j] += x * y
+    prod = _product(a, b)
+    prod += [0] * (n - len(prod))
     # t^k = -low(t) t^(k-n), from the top coefficient down
     for k in range(len(prod) - 1, n - 1, -1):
         c = prod[k] % p

@@ -34,12 +34,6 @@ def _check_odd_prime(p: int) -> None:
         raise ValueError(f"{p} is not an odd prime")
 
 
-def legendre(a: int, p: int) -> int:
-    """(a/p); p must be an odd prime."""
-    _check_odd_prime(p)
-    return kronecker_symbol(a, p)
-
-
 def reciprocity_check(p: int, l: int) -> tuple:
     """Verified reciprocity relation for distinct odd primes: symbols
     equal when p or l is 1 mod 4, opposite when both are 3 mod 4. The

@@ -57,7 +57,8 @@ constructions that the Newton power-sum routes in wittkit replace:
 
 It also keeps the helpers that only the tests use: property_seed, the
 seed of the generated inputs; homogenize, plane-curve terms made
-homogeneous; and frobenius_step, F_p on a FiniteLevelPoint.
+homogeneous; frobenius_step, F_p on a FiniteLevelPoint; and legendre,
+the symbol (a/p) with p checked to be an odd prime.
 """
 
 from __future__ import annotations
@@ -72,11 +73,11 @@ import numpy as np
 
 from wittkit.explicit import TestFunction
 from wittkit.finitefield import _is_irreducible, finite_field_make, monic_polys
-from wittkit.ntheory import factorize, primes_upto
+from wittkit.ntheory import factorize, kronecker_symbol, primes_upto
 from wittkit.orbits import FiniteLevelPoint, frobenius_power
 from wittkit.parser import ParseError, _Tokens
 from wittkit.poly import Polynomial
-from wittkit.reciprocity import reciprocity_check
+from wittkit.reciprocity import _check_odd_prime, reciprocity_check
 from wittkit.rings import GF, QQ, ZZ, Ring
 from wittkit.series import series_of_rational
 from wittkit.witt import WittVector
@@ -725,6 +726,12 @@ def kronecker_binary(a: int, b: int) -> int:
             k = -k
         a, b = b % abs(a), abs(a)
     return k if b == 1 else 0
+
+
+def legendre(a: int, p: int) -> int:
+    """(a/p); p must be an odd prime."""
+    _check_odd_prime(p)
+    return kronecker_symbol(a, p)
 
 
 def square_table(p: int) -> list[int]:

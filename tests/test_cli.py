@@ -417,25 +417,26 @@ def test_ghost_order_refused_above_its_cap(capsys):
 
 
 def test_powers_refused_above_the_cap(capsys):
-    """|exponent| times the base's degree, or the bit length of a constant
-    base, is capped before any multiplication; the last two cases ran
-    past 8 s."""
+    """A power is bounded by the expression budget alone: e * bits against
+    EXPR_BITS_CAP before any multiplication, then its work. Both refusals
+    below ran past 8 s before any cap; the two answers were refused by a
+    cap on |exponent| * size that the budget replaced."""
     cases = [
-        (["witt", "add", "1", "(1-t^2)^-501"],
-         "power needs |exponent| * degree = 501 * 2, above the cap 1000 at position 7"),
-        (["witt", "parse", "1-7^334t"],
-         "power needs |exponent| * bits = 334 * 3, above the cap 1000 at position 3"),
         (["witt", "mul", "2^99999999", "1"],
-         "power needs |exponent| * bits = 99999999 * 2, above the cap 1000 at position 1"),
+         "expression needs 99999999 coefficient bits, above the cap 14000 at position 1"),
         (["witt", "add", "(1-t)^100000", "1"],
-         "power needs |exponent| * degree = 100000 * 1, above the cap 1000 at position 5"),
+         "expression needs 100000 coefficient bits, above the cap 14000 at position 5"),
     ]
     for argv, message in cases:
         start = time.perf_counter()
         code, out, err = run_cli(capsys, argv)
         assert time.perf_counter() - start < 0.5
         assert (code, out, err) == (1, "", f"wittkit: error: {message}\n")
-    # at the cap both kinds still answer
+    code, out, _ = run_cli(capsys, ["witt", "add", "1", "(1-t^2)^-501"])
+    assert code == 0 and out.endswith(" + 501t^1000 - t^1002)\n")
+    code, out, _ = run_cli(capsys, ["witt", "parse", "1-7^334t"])
+    assert code == 0 and out.endswith(f"\n1 - {7**334}t\n")
+    # at the old cap both kinds still answer
     code, out, _ = run_cli(capsys, ["witt", "parse", "(1-t)^1000"])
     assert code == 0 and out.endswith(" - 1000t^999 + t^1000\n")
     code, out, _ = run_cli(capsys, ["witt", "parse", "1-7^333t"])
@@ -443,26 +444,57 @@ def test_powers_refused_above_the_cap(capsys):
 
 
 def test_expression_budget_refused_fast(capsys):
-    """One budget covers the whole expression. Each power below is within
-    POWER_CAP: the triple power ran 8 s and printed 1.98 MB, and the big
-    coefficient ran 1.2 s and then failed on Python's 4,300-digit limit."""
+    """One budget covers the whole expression: every list product, sum,
+    negation and power, and the canonicalising gcd. The triple power ran
+    8 s, the big coefficient ran 1.2 s and then failed on Python's
+    4,300-digit limit, and the t^1000 chains ran 7 s and 48 s, the second
+    printing 3.2 MB."""
     cases = [
         (["witt", "add", "(1-t)^1000*(1-t)^1000*(1-t)^1000", "1"],
-         "expression needs 31357009 weighted products, above the cap"
-         " 10000000 at position 10"),
+         "expression needs 15293562 work units, above the cap 10000000 at position 16"),
         (["witt", "add", "(1-999999999t)^1000", "1"],
          "expression needs 30000 coefficient bits, above the cap 14000 at position 14"),
         (["witt", "parse", "1-(999999999t)^1000"],
          "expression needs 30000 coefficient bits, above the cap 14000 at position 14"),
+        (["witt", "parse", "*".join(["t^1000"] * 400)],
+         "expression needs 10107138 work units, above the cap 10000000 at position 237"),
+        (["witt", "parse", "(1-" + "*".join(["t^1000"] * 300) + ")/(1-t)^500"],
+         "expression needs 10107138 work units, above the cap 10000000 at position 240"),
+        (["witt", "parse", "t^1000000000"],
+         "expression needs 8000000008 work units, above the cap 10000000 at position 1"),
+        (["witt", "parse", "1-t^300000" + "+1-1" * 500],
+         "expression needs 12000056 work units, above the cap 10000000 at position 12"),
+        (["witt", "parse", "1-" + "-" * 400 + "t^300000"],
+         "expression needs 12000048 work units, above the cap 10000000 at position 398"),
+        # the gcd is charged at the end, and the Q retry again
+        (["witt", "parse", "(1-t^300000)/(1-t)^500"],
+         "expression needs 475895137 work units, above the cap 10000000 at position 22"),
+        (["witt", "parse", "(1-t^165111)/(1-t)"],
+         "expression needs 10000001 work units, above the cap 10000000 at position 18"),
+        (["witt", "parse", "(2-2t^32734)/(1-t)/(2+t)"],
+         "expression needs 10000110 work units, above the cap 10000000 at position 24"),
+        # more than 4,215 significant digits is above 2^14000, refused before
+        # int(); 5,000 digits used to fail on Python's 4,300-digit limit
+        (["witt", "parse", "1-" + "9" * 5000 + "t"],
+         "integer of 5000 digits is above the cap 14000 on coefficient bits at position 2"),
+        (["witt", "parse", "1-" + "9" * 4299 + "t"],
+         "integer of 4299 digits is above the cap 14000 on coefficient bits at position 2"),
+        (["witt", "parse", "1-" + "9" * 4215 + "t"],
+         "expression needs 14002 coefficient bits, above the cap 14000 at position 4217"),
     ]
     for argv, message in cases:
         start = time.perf_counter()
         code, out, err = run_cli(capsys, argv)
         assert time.perf_counter() - start < 1.0
         assert (code, out, err) == (1, "", f"wittkit: error: {message}\n")
-    # a product of two powers within the budget still answers
+    # a product of two powers within the budget still answers, and so do
+    # 10^4214 and a literal whose leading zeros make it long
     code, out, _ = run_cli(capsys, ["witt", "parse", "(1-t)^500*(1-t)^500"])
     assert code == 0 and out.endswith(" - 1000t^999 + t^1000\n")
+    code, out, _ = run_cli(capsys, ["witt", "parse", "1-1" + "0" * 4214 + "t"])
+    assert code == 0 and out.endswith(f"\n1 - {10**4214}t\n")
+    code, out, _ = run_cli(capsys, ["witt", "parse", "1-" + "0" * 5000 + "2t"])
+    assert code == 0 and out.endswith("\n1 - 2t\n")
 
 
 def test_witt_mul_json_matches_committed_file(capsys):

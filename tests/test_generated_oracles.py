@@ -41,7 +41,7 @@ from oracles import (
     transform_simpson,
     zeta_reference_one_array,
 )
-from wittkit import cli
+from wittkit import cli, parser, poly
 from wittkit.cli import main
 from wittkit.counting import AffineVariety, count_points
 from wittkit.explicit import (
@@ -434,29 +434,78 @@ def _parse_outcome(route, text):
     return w.ring.name, w.num.coeffs, w.den.coeffs, [type(c) for c in w.num.coeffs]
 
 
-def test_parser_matches_q_route():
+PARSER_FIXED = [
+    "1/2 - t", "(2-t)/2", "(1-t)^-2", "t/t", "1 + 0t - 0", "1/(t-t)",
+    "2-t", "(2-4t)/(2+2t)", "(3-t)/(3+t)", "1 + t^-1", "0", "(1-2t)/(1-2t)^2",
+    # the monomial power, e = 0 and the zero base
+    "t^0", "0^0", "(0t)^3", "(2t)^3", "(-t)^5", "(t-t)^0", "3t^6/(1-t)^2",
+    "1-(0t)^3", "1+(2t)^3", "1-(-t)^5*(t-t)^0", "(t-t)^-1", "0^-2",
+    # one literal of each (num, den) degree shape of the witt mul workload
+    "(1-2t+3t^2)/(1+t-t^2)", "(1+t-3t^3)/(1-2t^2+t^3)",
+    "(1-t+2t^2-t^4)/(1+3t^2-2t^3+t^4)", "(1+2t-t^3+3t^5)/(1-t+t^2-2t^4+t^5)",
+    "(1-3t+t^2+2t^4-t^6)/(1+t-t^3+2t^5+3t^6)", "(1-t-t^2)/(1+2t-t^2+t^3-3t^6)",
+    "(1+3t^2-t^3+t^5-2t^6)/(1-2t+t^2)", "(1+t^2-2t^3)/(1-t+3t^3-t^4+t^5)",
+    "(1-2t-t^2+t^4+2t^5)/(1+t-t^3)", "(1+t-2t^2+t^4)/(1-3t+t^2)",
+    "(1-t^2)/(1+2t+t^2-t^3+3t^4)"]
+
+
+def parser_cases():
+    """The fixed literals, then 1,188 random draws."""
     rng = random.Random(property_seed() + 23)
-    fixed = ["1/2 - t", "(2-t)/2", "(1-t)^-2", "t/t", "1 + 0t - 0", "1/(t-t)",
-             "2-t", "(2-4t)/(2+2t)", "(3-t)/(3+t)", "1 + t^-1", "0", "(1-2t)/(1-2t)^2",
-             # the monomial power, e = 0 and the zero base
-             "t^0", "0^0", "(0t)^3", "(2t)^3", "(-t)^5", "(t-t)^0", "3t^6/(1-t)^2",
-             "1-(0t)^3", "1+(2t)^3", "1-(-t)^5*(t-t)^0", "(t-t)^-1", "0^-2",
-             # one literal of each (num, den) degree shape of the witt mul workload
-             "(1-2t+3t^2)/(1+t-t^2)", "(1+t-3t^3)/(1-2t^2+t^3)",
-             "(1-t+2t^2-t^4)/(1+3t^2-2t^3+t^4)", "(1+2t-t^3+3t^5)/(1-t+t^2-2t^4+t^5)",
-             "(1-3t+t^2+2t^4-t^6)/(1+t-t^3+2t^5+3t^6)", "(1-t-t^2)/(1+2t-t^2+t^3-3t^6)",
-             "(1+3t^2-t^3+t^5-2t^6)/(1-2t+t^2)", "(1+t^2-2t^3)/(1-t+3t^3-t^4+t^5)",
-             "(1-2t-t^2+t^4+2t^5)/(1+t-t^3)", "(1+t-2t^2+t^4)/(1-3t+t^2)",
-             "(1-t^2)/(1+2t+t^2-t^3+3t^4)"]
+    yield from PARSER_FIXED
+    for _ in range(1188):
+        yield rng.choice(EXPR_SHAPES).format(random_expr(rng))
+
+
+def test_parser_matches_q_route():
     seen = set()
-    for case in range(len(fixed) + 1188):
-        text = fixed[case] if case < len(fixed) else rng.choice(
-            EXPR_SHAPES).format(random_expr(rng))
+    for text in parser_cases():
         got = _parse_outcome(parse_witt, text)
         assert got == _parse_outcome(parse_witt_reference, text), text
         seen.add(got[1].split(" at position")[0] if got[0].endswith("Error") else got[0])
     # the Z result, the Q fallback and each refusal are all exercised
     assert {"Z", "Q", "division by zero", "not a Witt vector: f(0) != 1"} <= seen, seen
+
+
+def test_parse_budget_covers_the_list_work(monkeypatch):
+    """Every entry a list product, sum or negation walks or writes is
+    charged before it happens, so the budget bounds the parse's list work.
+    Refused expressions count what ran before the refusal."""
+    made, done = [], [0]
+
+    class Tokens(parser._Tokens):
+        def __init__(self, text):
+            super().__init__(text)
+            made.append(self)
+
+    def product(a, b):
+        out = poly._product(a, b)
+        done[0] += len(a) + (len(a) - a.count(0)) * len(b) + len(out)
+        return out
+
+    def total(a, b):
+        done[0] += 2 * max(len(a), len(b))
+        return poly._sum(a, b)
+
+    def negate(a, toks, pos, neg=parser._rf_neg):
+        out = neg(a, toks, pos)
+        done[0] += 2 * len(a[0])
+        return out
+
+    monkeypatch.setattr(parser, "_Tokens", Tokens)
+    monkeypatch.setattr(parser, "_product", product)
+    monkeypatch.setattr(parser, "_sum", total)
+    monkeypatch.setattr(parser, "_rf_neg", negate)
+    big = ["*".join(["t^1000"] * 400), "(1-t)^1000", "(1-t)^500*(1-t)^500",
+           "1-t^300000" + "+1-1" * 500, "1-" + "-" * 400 + "t^300000",
+           "(1-t)^7*(1+2t)^9/(1-t)^4/(3+t)^2 - t^40*(1-t)^-3"]
+    for text in itertools.chain(parser_cases(), big):
+        done[0] = 0
+        try:
+            parse_witt(text)
+        except ValueError:
+            pass
+        assert made[-1].work >= done[0], text
 
 
 def random_zpoly(rng, max_degree, bits=40):

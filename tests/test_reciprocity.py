@@ -3,11 +3,11 @@ import itertools
 
 import pytest
 
+from oracles import legendre
 from wittkit.ntheory import primes_upto
 from wittkit.reciprocity import (
     LINKING_BOUND_CAP,
     RedeiTriple,
-    legendre,
     linking_table,
     reciprocity_check,
     redei_scan,
