@@ -13,7 +13,7 @@ canonicalization, WittVector over Z. It must have constant term 1. Q is
 used only when Z refuses: a result that is not integral, such as
 (2 - t)/2, comes back over Q. One budget on the whole expression is the
 only size gate: it bounds the coefficient bits, and charges each list
-operation and the canonicalising gcd before their work.
+operation and the gcd before their work. EXPR_DEPTH_CAP bounds nesting.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ class _Tokens:
             raise ParseError(f"unexpected character {ch!r}", i)
         self.toks.append(("end", None, n))
         self.k = 0
-        self.work = 0  # charged so far, see _charge
+        self.work = self.depth = 0  # charged so far (_charge), open levels (_parse_atom)
 
     def peek(self):
         return self.toks[self.k]
@@ -86,6 +86,8 @@ _RF = tuple[list, list]
 # EXPR_WORK_CAP, about 1 s on a 2-core Xeon
 EXPR_BITS_CAP = 14000
 EXPR_WORK_CAP = 10**7
+# depth 2 per parenthesis (4 frames of the descent), 1 per unary sign (2): CPython allows 1,000
+EXPR_DEPTH_CAP = 400
 
 
 def _charge(toks: _Tokens, work: int, bits: int, pos: int) -> None:
@@ -217,15 +219,19 @@ def _parse_atom(toks: _Tokens) -> _RF:
         return ([value] if value else [], [1])
     if kind == "t":
         return ([0, 1], [1])
+    if kind not in ("(", "-"):
+        raise ParseError(f"expected integer, 't' or '(', found {kind!r}", pos)
+    toks.depth += 2 if kind == "(" else 1
+    if toks.depth > EXPR_DEPTH_CAP:
+        raise ParseError(f"expression nests {toks.depth} deep, above the cap {EXPR_DEPTH_CAP}", pos)
     if kind == "(":
-        inner = _parse_expr(toks)
-        close, _, cpos = toks.advance()
+        inner, (close, _, cpos) = _parse_expr(toks), toks.advance()
         if close != ")":
             raise ParseError(f"expected ')', found {close!r}", cpos)
-        return inner
-    if kind == "-":
-        return _rf_neg(_parse_factor(toks), toks, pos)
-    raise ParseError(f"expected integer, 't' or '(', found {kind!r}", pos)
+    else:
+        inner = _rf_neg(_parse_factor(toks), toks, pos)
+    toks.depth -= 2 if kind == "(" else 1
+    return inner
 
 
 def parse_witt(expr: str) -> WittVector:

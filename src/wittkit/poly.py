@@ -13,18 +13,17 @@ like `coeffs`: long division mod p, the Euclid `_gcd_mod`, products
 (`_product`, then a reduction) and powers mod a monic modulus, and
 `_frobenius_gcd`, t^(p^k) mod f by repeated p-th powers with its gcd
 against f after subtracting t. Rabin's test in `finitefield` and the
-distinct-degree factorisation in `zeta` run on it, and the Euclid serves
-every gcd. Over F_p it is the gcd itself. Over Z, and through it over
-Q, it takes the images of Brown's dense modular gcd modulo primes just
-below 2^61, which are combined by CRT and certified by exact trial
-division. An image of degree 0 proves the inputs coprime, which settles
-most calls after one prime. The gcd by primitive remainder sequences is
-kept in the tests, as its oracle.
+distinct-degree factorisation in `zeta` run on it; its Euclid is the gcd
+over F_p. Over Z, and through it over Q, a constant input gives 1, and a
+certificate at a power of 256 proves nearly every coprime pair of the
+Witt ops. The rest take Brown's dense modular gcd, from Euclid images
+modulo primes just below 2^61, combined by CRT and certified by exact
+trial division. The primitive remainder sequence gcd is the tests' oracle.
 """
 
 from __future__ import annotations
 
-from itertools import zip_longest
+from itertools import repeat, zip_longest
 from math import gcd as int_gcd, lcm
 from typing import Sequence
 
@@ -170,9 +169,7 @@ class Polynomial:
             raise ValueError("content is defined over Z")
         if self.is_zero():
             return 0
-        g = 0
-        for c in self.coeffs:
-            g = int_gcd(g, c)
+        g = int_gcd(*self.coeffs)
         return g if self.leading() > 0 else -g
 
     def primitive(self) -> "Polynomial":
@@ -310,6 +307,33 @@ def _frobenius_gcd(f: Sequence[int], h: Sequence[int], k: int, p: int) -> tuple:
 
 
 def _gcd_zz(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Gcd of primitive, positive-leading a and b: 1 for a constant input or if
+    certified, else _gcd_brown. The certificate (Char, Geddes and Gonnet) takes
+    m = max |c|, xi = 256^nb > 2(2m + 2), gamma = gcd(a(xi), b(xi)), not 0 as xi > m + 1.
+    A factor g of a has roots |alpha| < 1 + m (Cauchy), so |g(xi)| > xi - 1 - m >= xi/2
+    if deg g >= 1; a common one has g(xi) | gamma, so gamma < xi/2 proves gcd = 1."""
+    A, B = a.coeffs, b.coeffs
+    if len(A) == 1 or len(B) == 1:
+        return Polynomial(ZZ, [1])
+    # against degree 1 Brown is one O(n) division: 569 ms on (1-t^165110)/(1-t), certificate 10 ms
+    if len(A) > 2 and len(B) > 2:
+        nb = ((4 * max(max(A), -min(A), max(B), -min(B)) + 4).bit_length() + 7) >> 3
+        # at degree 1,000: 7.3 vs Brown's 232 ms at 64 bits, 1,423 vs 242 ms at 1,024 bits
+        if nb <= 8 and 2 * int_gcd(_packed(A, nb), _packed(B, nb)) < 1 << 8 * nb:
+            return Polynomial(ZZ, [1])
+    return _gcd_brown(a, b)
+
+
+def _packed(cs: Sequence[int], nb: int) -> int:
+    """sum c_i 256^(nb i) for |c_i| < 256^nb / 2, in linear time (Horner is quadratic)."""
+    half = 1 << 8 * nb - 1
+    cs = [c + half for c in cs]
+    fields = bytes(cs) if nb == 1 else b"".join(map(int.to_bytes, cs, repeat(nb), repeat("little")))
+    offsets = half.to_bytes(nb, "little") * len(cs)
+    return int.from_bytes(fields, "little") - int.from_bytes(offsets, "little")
+
+
+def _gcd_brown(a: Polynomial, b: Polynomial) -> Polynomial:
     """Gcd of primitive, positive-leading a and b (Brown's modular gcd).
 
     Primes dividing either leading coefficient are skipped, so an image

@@ -497,10 +497,39 @@ def test_expression_budget_refused_fast(capsys):
     assert code == 0 and out.endswith("\n1 - 2t\n")
 
 
+def test_nesting_depth_refused_by_name(capsys):
+    """A parenthesis nests 2 levels and a unary sign 1, up to EXPR_DEPTH_CAP
+    = 400, so that the 400 signs of the budget test still reach the budget.
+    400 parentheses and 600 signs used to exit 1 with "maximum recursion
+    depth exceeded", which names no cap."""
+    cases = [
+        ("(" * 400 + "1-t" + ")" * 400,
+         "expression nests 402 deep, above the cap 400 at position 200"),
+        ("1" + "-" * 600 + "t", "expression nests 401 deep, above the cap 400 at position 402"),
+        ("(" * 201 + "1-t" + ")" * 201,
+         "expression nests 402 deep, above the cap 400 at position 200"),
+        ("1-" + "-" * 401 + "t", "expression nests 401 deep, above the cap 400 at position 402"),
+        ("(" * 100 + "1" + "-" * 202 + "t" + ")" * 100,
+         "expression nests 401 deep, above the cap 400 at position 302"),
+    ]
+    for expr, message in cases:
+        assert run_cli(capsys, ["witt", "parse", expr]) == (1, "", f"wittkit: error: {message}\n")
+    # depth 400 still answers
+    for expr in ("(" * 200 + "1-t" + ")" * 200, "1-" + "-" * 400 + "t",
+                 "(" * 100 + "1" + "-" * 201 + "t" + ")" * 100):
+        code, out, err = run_cli(capsys, ["witt", "parse", expr])
+        assert (code, err) == (0, "") and out.endswith("\n1 - t\n"), expr
+
+
 def test_witt_mul_json_matches_committed_file(capsys):
-    # the file CI compares the installed package against
+    # the files CI compares the installed package against; the 6 x 6 product
+    # (a seed-3 witt-explicit op) canonicalises degree-72 pairs by the certificate
     expected = (Path(__file__).parent / "data" / "witt_mul_expected.json").read_text()
     argv = ["witt", "mul", "(1-t+2t^2)/(1+t)", "(1+3t)/(1-t^2)", "--format", "json"]
+    assert run_cli(capsys, argv) == (0, expected, "")
+    expected = (Path(__file__).parent / "data" / "witt_mul_6x6_expected.json").read_text()
+    argv = ["witt", "mul", "(1+3t+3t^2-t^3-t^5-3t^6)/(1-t-3t^3-2t^5+3t^6)",
+            "(1-t^2+t^3-t^4+3t^5-t^6)/(1-2t-3t^2-3t^3-3t^4+3t^5+2t^6)", "--format", "json"]
     assert run_cli(capsys, argv) == (0, expected, "")
 
 

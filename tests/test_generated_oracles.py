@@ -584,6 +584,84 @@ def test_gcd_unlucky_primes_and_edge_cases():
             got = x.gcd(y)
             assert repr(got) == repr(want), (x, y, got)
             assert repr(got) == repr(gcd_prs_reference(x, y)), (x, y)
+            # Brown's loop itself, which the certificate bypasses on coprime rows
+            got = poly._gcd_brown(x.primitive(), y.primitive())
+            assert repr(got) == repr(want), (x, y, got)
+
+
+def test_gcd_certificate_matches_prs_and_brown(monkeypatch):
+    """Polynomial.gcd, whose coprime pairs the certificate at xi = 256^nb
+    settles, against the PRS oracle and against Brown's loop alone, on
+    coprime pairs, planted factors (t - m with m at the inputs' norm
+    among them), coprime pairs the certificate must decline, constant and
+    linear inputs, coefficients on both sides of the xi <= 2^64 gate, and
+    the Q route."""
+    rng = random.Random(property_seed() + 28)
+    brown, loop = poly._gcd_brown, []
+    monkeypatch.setattr(poly, "_gcd_brown", lambda a, b: loop.append(1) or brown(a, b))
+    t = Polynomial.t(ZZ)
+
+    def lin(m):
+        return t - _c(m)
+
+    def gcd_ran_loop(a, b, want=None):
+        """Check a.gcd(b) against the oracles; True if Brown's loop ran."""
+        loop.clear()
+        got = a.gcd(b)
+        ran = bool(loop)
+        assert repr(got) == repr(gcd_prs_reference(a, b)), (a, b, got)
+        assert repr(got) == repr(brown(a.primitive(), b.primitive())), (a, b, got)
+        assert want is None or got == want, (a, b, got)
+        return ran
+
+    def small(max_degree, bits):
+        return random_zpoly(rng, max_degree, bits)
+
+    # a common root m at the norm: with xi = 256, the least power above 201, gamma
+    # would be 56 < 128; with gamma <= xi as the test, (t - 1)(t + 3), (t - 1)(t + 5)
+    # would pass at gamma = 255
+    assert gcd_ran_loop(lin(200) * lin(-1), lin(200) * lin(1), lin(200))
+    assert gcd_ran_loop(lin(1) * lin(-3), lin(1) * lin(-5), lin(1))
+    for _ in range(60):
+        u, v = small(5, rng.choice((3, 8, 20))), small(5, rng.choice((3, 8, 20)))
+        norm = max(map(abs, u.coeffs + v.coeffs))
+        h = lin(rng.choice((norm, -norm, norm + 1, 1 - norm)))
+        gcd_ran_loop(h * u, h * v)
+    for _ in range(60):
+        gcd_ran_loop(*planted_pair(rng, rng.randint(1, 2)))
+    # coprime pairs whose gamma is at least xi/2 (631 at xi = 256 for the first):
+    # answered 1 by the loop
+    declined = [([-5, -6, 4], [8, 1, 3]), ([4, -6, 6], [-5, 6, 7]), ([3, 6, 4], [-8, 8, 9]),
+                ([7, -9, 6], [6, -1, -7, 2]), ([-7, -5, 3], [-9, 3, -8, 4])]
+    for a, b in declined:
+        assert gcd_ran_loop(Polynomial(ZZ, a), Polynomial(ZZ, b), Polynomial.one(ZZ)), (a, b)
+    certified = 0
+    for _ in range(200):
+        a, b = (Polynomial(ZZ, small(4, rng.choice((3, 8, 40, 61))).coeffs + (0, 0, 1))
+                for _ in range(2))
+        certified += not gcd_ran_loop(a, b)
+    assert certified > 180  # the certificate, not the loop, settles nearly all of them
+    # constant and linear inputs never take the certificate
+    for _ in range(40):
+        f, g = small(4, 20), small(1, 20)
+        assert not gcd_ran_loop(_c(rng.choice((-1, 1)) * rng.randint(1, 99)), f)
+        gcd_ran_loop(g, f)
+        gcd_ran_loop(g * f, g * small(4, 8))
+    # the gate: xi <= 2^64 admits max |c| = 2^62 - 2, the next coefficient goes to the loop
+    for top, ran in ((2**62 - 2, False), (2**62 - 1, True)):
+        for _ in range(10):
+            a = Polynomial(ZZ, [rng.randint(-top, top) for _ in range(4)] + [top])
+            b = Polynomial(ZZ, [rng.randint(-top, top) for _ in range(3)] + [-top])
+            assert gcd_ran_loop(a, b) == ran, (a, b)
+            h = small(2, 8)
+            gcd_ran_loop(a * h, b * h)
+    # over Q, the Z gcd of the primitive integer multiples, made monic
+    for _ in range(60):
+        a, b = planted_pair(rng, rng.randint(0, 1))
+        qa = a.map_ring(QQ).scale(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+        qb = b.map_ring(QQ).scale(Fraction(-rng.randint(1, 9), rng.randint(1, 9)))
+        want = gcd_prs_reference(a, b).map_ring(QQ).monic()
+        assert qa.gcd(qb) == want, (qa, qb)
 
 
 def test_gcd_primes_are_primes():
