@@ -4,14 +4,17 @@ Subcommands: witt, zeta, orbits, explicit-formula, linking, redei,
 product-formula. Every run echoes its resolved configuration; output
 goes to stdout or --out. Formats: plain (default), json (validates
 against schemas/cli_output.schema.json), csv (tabular results only);
-`_render` builds only the format asked for. The tables (linking rows,
-ledger entries, orbit listings) are exact tuples of numbers, written by
-`_write_table`; their JSON is laid out from the C encoder's output, byte
-for byte what json.dumps(doc, indent=2, sort_keys=True) writes with the
-pure-Python encoder that indent forces. Exit codes: 0 success, 1
-computation error, 2 usage error. The argparse tree is built once per
-process (`build_parser` is cached) and reused by every `main` call;
-parsing keeps no state between calls.
+`_render` builds only the format asked for. JSON is byte for byte what
+json.dumps(doc, indent=2, sort_keys=True) writes (its pure-Python
+encoder, as indent is set): `_write_json` writes it in one recursion and
+splices in the tables (linking rows, ledger entries, orbit listings:
+exact tuples of numbers) that `_write_table` lays out from the C
+encoder's output. Exit codes: 0 success, 1 computation error, 2 usage
+error. `main` first tries `_parse_canonical`, which reads the leaves of
+the cached argparse tree (`build_parser`) and returns its Namespace for
+argv in canonical form; argparse parses the rest (help, abbreviations,
+--flag=value, --, negative numbers, every usage error) and writes all
+usage text. Parsing keeps no state between calls.
 
 numpy is imported on first use, inside the library functions that need
 it: `zeta count`, `zeta rational`, `zeta euler` and `explicit-formula
@@ -29,6 +32,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import counting, explicit, orbits, reciprocity, zeta
 from . import parser as wparser
@@ -44,12 +48,12 @@ TABULAR_COMMANDS = {
                       True),
     "zeta ledger": ("entries", ("norm", "length", "multiplicity"), False),
 }
-_TABLE = "\0"  # stands in for a table in the JSON document; no argv string holds a NUL
 
 
-def _common_flags(sub: argparse.ArgumentParser) -> None:
+def _common_flags(sub: argparse.ArgumentParser, func, **defaults) -> None:
     sub.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
     sub.add_argument("--out", default="-", help="output file, - for stdout")
+    sub.set_defaults(func=func, **defaults)
 
 
 def _pretty_witt(w: wmod.WittVector) -> str:
@@ -95,6 +99,9 @@ def _run_witt(args) -> tuple:
         g = wparser.parse_witt(args.series[1])
         if f.ring != g.ring:  # an integral text parses over Z, the other over Q
             f, g = f.map_ring(QQ), g.map_ring(QQ)
+        if op != "mul":  # witt_add multiplies num by num, witt_sub num by den
+            wparser.check_ring_op(f"witt {op}", (f.num, f.den),
+                                  (g.num, g.den) if op == "add" else (g.den, g.num))
         w = {"add": wmod.witt_add, "mul": wmod.witt_mul, "sub": wmod.witt_sub}[op](f, g)
     elif op in ("frobenius", "verschiebung"):
         w = (wmod.frobenius if op == "frobenius" else wmod.verschiebung)(f, args.nu)
@@ -225,8 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    p_witt = sub.add_parser("witt", help="rational Witt vector arithmetic")
-    witt_sub = p_witt.add_subparsers(dest="verb", required=True)
+    def verbs(name: str, about: str):  # a command parser and the subparsers of its verbs
+        return sub.add_parser(name, help=about).add_subparsers(dest="verb", required=True)
+
+    witt_sub = verbs("witt", "rational Witt vector arithmetic")
     for verb, nargs in (
         ("parse", 1), ("add", 2), ("mul", 2), ("sub", 2), ("neg", 1),
         ("frobenius", 1), ("verschiebung", 1), ("ghost", 1), ("project", 1),
@@ -238,86 +247,124 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("nu", type=int)
         if verb == "ghost":
             p.add_argument("--order", type=int, default=8)
-        _common_flags(p)
-        p.set_defaults(func=_run_witt)
+        _common_flags(p, _run_witt)
 
-    p_zeta = sub.add_parser("zeta", help="point counts, zeta series, ledgers")
-    zeta_sub = p_zeta.add_subparsers(dest="verb", required=True)
+    zeta_sub = verbs("zeta", "point counts, zeta series, ledgers")
     p = zeta_sub.add_parser("count")
     p.add_argument("--variety", required=True, help="variety description (JSON file)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--cap", type=int, default=counting.DEFAULT_ENUM_CAP)
-    _common_flags(p)
-    p.set_defaults(func=_run_zeta)
+    _common_flags(p, _run_zeta)
     p = zeta_sub.add_parser("rational")
     p.add_argument("--variety", required=True)
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--dnum", type=int, required=True)
     p.add_argument("--dden", type=int, required=True)
     p.add_argument("--cap", type=int, default=counting.DEFAULT_ENUM_CAP)
-    _common_flags(p)
-    p.set_defaults(func=_run_zeta)
+    _common_flags(p, _run_zeta)
     p = zeta_sub.add_parser("ledger")
     p.add_argument("--source", required=True,
                    help="'spec Z', 'quadratic:<d>', or 'curve:<q>'")
     p.add_argument("--bound", type=float, required=True)
-    _common_flags(p)
-    p.set_defaults(func=_run_zeta)
+    _common_flags(p, _run_zeta)
     p = zeta_sub.add_parser("euler")
     p.add_argument("--source", required=True)
     p.add_argument("--bound", type=float, required=True)
     p.add_argument("--s", type=float, required=True)
-    _common_flags(p)
-    p.set_defaults(func=_run_zeta)
+    _common_flags(p, _run_zeta)
 
-    p_orb = sub.add_parser("orbits", help="finite-level orbit packets")
-    orb_sub = p_orb.add_subparsers(dest="verb", required=True)
+    orb_sub = verbs("orbits", "finite-level orbit packets")
     p = orb_sub.add_parser("packet")
     p.add_argument("p", type=int)
     p.add_argument("n", type=int)
     p.add_argument("--list-limit", type=int, default=10**4)
-    _common_flags(p)
-    p.set_defaults(func=_run_orbits, format="json")
+    _common_flags(p, _run_orbits, format="json")
 
-    p_exp = sub.add_parser("explicit-formula", help="zero side vs prime side")
-    exp_sub = p_exp.add_subparsers(dest="verb", required=True)
+    exp_sub = verbs("explicit-formula", "zero side vs prime side")
     p = exp_sub.add_parser("run")
     p.add_argument("--zeros", default=None,
                    help="zero table file; default: bundled first 1000 zeros")
     p.add_argument("--bump", default="1.5,0.7", help="test function as '<c>,<r>'")
     p.add_argument("--max-zeros", type=int, default=100)
     p.add_argument("--prime-bound", type=int, default=10**4)
-    _common_flags(p)
-    p.set_defaults(func=_run_explicit)
+    _common_flags(p, _run_explicit)
 
-    p_link = sub.add_parser("linking", help="mod-2 linking of odd prime pairs")
-    link_sub = p_link.add_subparsers(dest="verb", required=True)
+    link_sub = verbs("linking", "mod-2 linking of odd prime pairs")
     p = link_sub.add_parser("table")
     p.add_argument("--bound", type=int, required=True)
-    _common_flags(p)
-    p.set_defaults(func=_run_linking)
+    _common_flags(p, _run_linking)
 
     p_redei = sub.add_parser("redei", help="triple symbol of three primes")
     p_redei.add_argument("p", type=int)
     p_redei.add_argument("l", type=int)
     p_redei.add_argument("q", type=int)
-    _common_flags(p_redei)
-    p_redei.set_defaults(func=_run_redei, verb=None)
+    _common_flags(p_redei, _run_redei, verb=None)
 
-    p_pf = sub.add_parser("product-formula", help="sum of weighted valuations")
-    pf_sub = p_pf.add_subparsers(dest="verb", required=True)
+    pf_sub = verbs("product-formula", "sum of weighted valuations")
     p = pf_sub.add_parser("rational")
     p.add_argument("value", help="rational number, e.g. 12/5 or -- -360/77")
-    _common_flags(p)
-    p.set_defaults(func=_run_product_formula)
+    _common_flags(p, _run_product_formula)
     p = pf_sub.add_parser("function-field")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--num", required=True, help="ascending coefficients, e.g. 1,0,1")
     p.add_argument("--den", required=True, help="ascending coefficients")
-    _common_flags(p)
-    p.set_defaults(func=_run_product_formula)
+    _common_flags(p, _run_product_formula)
 
     return top
+
+
+@functools.lru_cache(maxsize=1)
+def _canonical_table(top: argparse.ArgumentParser) -> dict:
+    """{command words: (options by string, positionals, Namespace defaults)} of each leaf."""
+    table = {}
+
+    def walk(p, words, ns):
+        acts = [a for a in p._actions if a.default is not argparse.SUPPRESS]  # not -h
+        sub = next((a for a in acts if type(a) is argparse._SubParsersAction), None)
+        for word, q in sub.choices.items() if sub else ():
+            walk(q, words + (word,), {**ns, sub.dest: word})
+        if not sub:
+            table[words] = ({s: a for a in acts for s in a.option_strings},
+                            [a for a in acts if not a.option_strings],
+                            {**ns, **p._defaults, **{a.dest: a.default for a in acts}})
+
+    walk(top, (), {})
+    return table
+
+
+def _parse_canonical(argv):
+    """build_parser().parse_args(argv) for argv in canonical form (command words, each
+    option once as its exact string and a value, one run of positionals, no other "-"
+    token, every check passing), else None."""
+    table = _canonical_table(build_parser())
+    words = next((w for w in (tuple(argv[:1]), tuple(argv[:2])) if w in table), None)
+    if words is None:
+        return None
+    options, positionals, defaults = table[words]
+    given, run, i = {}, [], len(words)  # action -> its value tokens
+    try:
+        while i < len(argv):
+            j = next((j for j in range(i, len(argv)) if argv[j][:1] == "-"), len(argv))
+            a = None if j > i else options.get(argv[i])
+            if j > i and not run:
+                run, i = argv[i:j], j
+            elif a is None or a in given or argv[i + 1][:1] == "-":
+                return None
+            else:
+                given[a], i = argv[i + 1:i + 2], i + 2
+        if len(run) != sum(a.nargs or 1 for a in positionals) or any(
+                a.required and a not in given for a in options.values()):
+            return None
+        for a in positionals:
+            given[a], run = run[:a.nargs or 1], run[a.nargs or 1:]
+        for a, texts in given.items():
+            values = [a.type(text) if a.type else text for text in texts]
+            if a.choices is not None and any(v not in a.choices for v in values):
+                return None
+            given[a] = values if a.nargs else values[0]
+    except (IndexError, TypeError, ValueError, argparse.ArgumentTypeError):
+        return None
+    return argparse.Namespace(**{**defaults, **{a.dest: v for a, v in given.items()}})
 
 
 def _command_name(args) -> str:
@@ -332,13 +379,11 @@ def _config_dict(args) -> dict:
 
 
 def _write_table(rows, columns, fmt: str):
-    """A table of numbers and bools, rows of equal length, as `fmt` prints
-    it. For csv and plain: the lines that csv.writer and
-    " ".join(map(str, row)) write, one %-format per row. For json: the
-    text of json.dumps(rows, indent=2) at depth 2 of the document, where
-    result[key] sits, from the C encoder's tokens (json uses it only
-    without indent): with no column names each row is an array, laid out
-    by str.replace; with them an object, keys sorted, one %-format per row."""
+    """A table of numbers and bools, rows of equal length, as `fmt` prints it: for csv
+    and plain the lines csv.writer and " ".join(map(str, row)) write, one %-format per
+    row; for json the text of json.dumps(rows, indent=2) at depth 2, where result[key]
+    sits, from the tokens of the C encoder, which json uses only without indent: each
+    row an array laid out by str.replace, or with column names an object, keys sorted."""
     if fmt != "json":
         row = ("," if fmt == "csv" else " ").join(["%s"] * len(columns))
         return list(map(row.__mod__, rows))
@@ -357,6 +402,35 @@ def _write_table(rows, columns, fmt: str):
     return f"[{inner}" + f",{inner}".join(rows) + "\n    ]"
 
 
+class _Spliced(str):
+    """JSON text that _write_json copies as it stands: a table _write_table laid out."""
+
+
+def _write_json(value, pad: str, out: list) -> list:
+    """Append to `out` what json.dumps(value, indent=2, sort_keys=True) writes for `value`
+    at indent `pad`, by json's token writers in one recursion; dict keys must be str."""
+    if isinstance(value, str):
+        out.append(value if type(value) is _Spliced else encode_basestring_ascii(value))
+    elif value is None or value is True or value is False:
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))  # above 4,300 digits, json's ValueError
+    elif isinstance(value, float):  # repr writes nan and inf for json's NaN and Infinity
+        out.append(float.__repr__(value).replace("nan", "NaN").replace("inf", "Infinity"))
+    elif isinstance(value, (list, tuple, dict)):
+        is_dict, inner = isinstance(value, dict), pad + "  "
+        opening, closing = "{}" if is_dict else "[]"
+        sep = opening + "\n" + inner
+        for item in sorted(value.items()) if is_dict else value:
+            out.append(sep + encode_basestring_ascii(item[0]) + ": " if is_dict else sep)
+            sep = ",\n" + inner
+            _write_json(item[1] if is_dict else item, inner, out)
+        out.append("\n" + pad + closing if value else opening + closing)
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+    return out
+
+
 def _render(args, result, plain_lines) -> str:
     name = _command_name(args)
     config = _config_dict(args)
@@ -364,14 +438,10 @@ def _render(args, result, plain_lines) -> str:
     if args.format == "json":
         if name == "orbits packet":
             key = "orbits"  # its listing: rows without column names
-        rows = result.get(key) if key else None
-        if rows is not None:  # a placeholder; the table is written apart, by _write_table
-            result = {**result, key: _TABLE}
-        doc = {"command": name, "config": config, "result": result}
-        text = json.dumps(doc, indent=2, sort_keys=True)
-        if rows is not None:
-            text = text.replace(json.dumps(_TABLE), _write_table(rows, columns, "json"))
-        return text + "\n"
+        if key and result.get(key) is not None:  # at depth 2, where _write_table lays it out
+            result = {**result, key: _Spliced(_write_table(result[key], columns, "json"))}
+        return "".join(_write_json({"command": name, "config": config, "result": result},
+                                   "", [])) + "\n"
     header = [f"# wittkit {name}", "# config: " + " ".join(f"{k}={v}" for k, v in config.items())]
     if key:  # csv output is refused for the other commands
         sep = "," if args.format == "csv" else " "
@@ -381,8 +451,8 @@ def _render(args, result, plain_lines) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parse_canonical(argv) or build_parser().parse_args(argv)
     name = _command_name(args)
     if args.format == "csv" and name not in TABULAR_COMMANDS:  # usage error
         print(

@@ -234,6 +234,16 @@ def _parse_atom(toks: _Tokens) -> _RF:
     return inner
 
 
+def check_ring_op(name: str, left, right) -> None:
+    """Refuse left[k] * right[k], the Polynomial products of a ring operation, before they
+    run, when above EXPR_WORK_CAP by _mul's weights; over Q, c weighs num * den."""
+    pairs = ([[c.numerator * c.denominator for c in p.coeffs] for p in pair]
+             for pair in zip(left, right))
+    work = sum(_work(a, len(b), _bits(a), _bits(b)) for a, b in pairs if [1] not in (a, b))
+    if work > EXPR_WORK_CAP:
+        raise ValueError(f"{name} needs {work} work units, above the cap {EXPR_WORK_CAP}")
+
+
 def parse_witt(expr: str) -> WittVector:
     """Parse and canonicalize over Z; non-integral results come back over Q."""
     toks = _Tokens(expr)

@@ -80,6 +80,31 @@ def test_witt_mixed_z_and_q_operands(capsys):
             assert doc["result"] == dict(want.to_json(), pretty=cli._pretty_witt(want))
 
 
+def test_witt_add_and_sub_charge_their_products(capsys):
+    # each operand passes its own parse budget; the products witt_add (num by
+    # num) and witt_sub (num by den) make are charged before they run, with
+    # the parser's weights, and a factor 1 is free
+    refused = [
+        (["witt", "add", "(1-3t)^900", "(1-3t)^900"], "witt add needs 52383573"),
+        (["witt", "add", "(1-t)^1000", "(1-t)^1000"], "witt add needs 24143471"),
+        (["witt", "sub", "(1-t)^1000", "1/(1-t)^1000"], "witt sub needs 24143471"),
+        (["witt", "add", "(1-t)^780", "(1-t)^780"], "witt add needs 10008187"),
+        (["witt", "sub", "1/(1-t/2)^780", "(1-t/3)^780"], "witt sub needs"),
+    ]
+    for argv, need in refused:
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, argv)
+        assert time.perf_counter() - start < 0.5, argv
+        assert (code, out) == (1, ""), argv
+        assert err.startswith(f"wittkit: error: {need}"), err
+        assert err.endswith(" work units, above the cap 10000000\n"), err
+    for argv in (["witt", "add", "(1-t)^779", "(1-t)^779"],
+                 ["witt", "sub", "(1-t)^1000", "(1-t)^1000"],  # both products by 1
+                 ["witt", "add", "(1-t)^1000", "1/(1-t)^1000"]):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, ""), argv
+
+
 def test_orbits_packet_example(capsys):
     code, out, err = run_cli(capsys, ["orbits", "packet", "2", "3"])
     assert code == 0
@@ -132,6 +157,9 @@ def test_cached_parser_keeps_no_state_between_calls(capsys, monkeypatch):
         fresh = build_uncached()
         monkeypatch.setattr(cli, "build_parser", lambda: fresh)
         assert run_cli(capsys, argv) == got, argv
+        hits = cli._canonical_table.cache_info().hits  # the canonical parse read `fresh`
+        cli._canonical_table(fresh)
+        assert cli._canonical_table.cache_info().hits == hits + 1, argv
     assert [len(results[i][1].splitlines()[-1].split()) for i in (0, 1)] == [5, 8]
     assert json.loads(results[2][1])["config"]["format"] == "json"
     assert results[4][1].startswith("# wittkit witt parse\n# config: format=plain")

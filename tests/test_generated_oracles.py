@@ -2,6 +2,8 @@
 generated inputs. Each draw is seeded from property_seed(), so
 WITT_ORBIT_SEED replays a failing draw."""
 
+import argparse
+import contextlib
 import csv
 import io
 import itertools
@@ -943,11 +945,33 @@ def _numeric_tables(draw):
     return rows, None if columns is None else tuple(columns)
 
 
+# documents for the JSON writer: the strings, floats and ints whose text differs
+# between encoders or from str, in every container json takes, nested
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2**64, -(2**64), 2**63, -(2**63) - 1]),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300]),
+    st.text(),
+    st.sampled_from(['"', "\\", "\0", "a\"b\\c", "\n\r\t\x08\x0c\x1f\x7f", "é ß 中文 😀",
+                     "\u2028\u2029", "\ud800"]),
+)
+_JSON_DOCS = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=24,
+)
+
+
 def test_render_matches_pure_python_encoder(tmp_path, monkeypatch):
     """The tables that _write_table writes against json.dumps(doc, indent=2,
     sort_keys=True), csv.writer and str: on hypothesis-generated numeric
-    tables and generated listings; and the JSON that _render writes on
-    every command's document in the render grid."""
+    tables and generated listings; the JSON that _write_json and _render
+    write on generated documents, refusals included; and the JSON that
+    _render writes on every command's document in the render grid."""
 
     def check_table(rows, columns):
         value = [dict(zip(columns, row)) for row in rows] if columns else rows
@@ -984,6 +1008,37 @@ def test_render_matches_pure_python_encoder(tmp_path, monkeypatch):
                "result": result}
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
+    def json_text(doc):  # json.dumps's text, or the type and message of its refusal
+        try:
+            return json.dumps(doc, indent=2, sort_keys=True)
+        except (TypeError, ValueError) as exc:
+            return type(exc), str(exc)
+
+    def written(doc):
+        try:
+            return "".join(cli._write_json(doc, "", []))
+        except (TypeError, ValueError) as exc:
+            return type(exc), str(exc)
+
+    ghost_args = cli.build_parser().parse_args(["witt", "ghost", "1-2t", "--format", "json"])
+
+    @hypothesis.seed(property_seed() + 51)
+    @hypothesis.settings(max_examples=400, deadline=None, database=None)
+    @hypothesis.given(_JSON_DOCS)
+    def check_document(doc):
+        assert written(doc) == json_text(doc)
+        result = {"doc": doc, "pretty": "1 - 2t"}
+        assert cli._render(ghost_args, result, None) == expected(ghost_args, result)
+
+    check_document()
+    for doc in ([], {}, (), [[]], {"": {}}, ((),), [None, True, False, (1, [2.5, {}])]):
+        assert written(doc) == json_text(doc)
+    # refused alike, with the same error and message: a 4,301-digit int (Python's
+    # str() limit) and objects json does not take
+    for doc in (10**4300, [1, {"a": -(10**4300)}], {"a": object()}, [b"x"], [{1, 2}]):
+        assert isinstance(json_text(doc), tuple), doc
+        assert written(doc) == json_text(doc), doc
+
     args = cli.build_parser().parse_args(["orbits", "packet", "7", "3"])
     result, lines = args.func(args)
     listings = [[], [[0]], [[5]], [[1, 2, 4]], [[1], [2]], result["orbits"]]
@@ -1007,3 +1062,124 @@ def test_render_matches_pure_python_encoder(tmp_path, monkeypatch):
         assert cli._render(args, result, lines) == expected(args, result), argv
         names.add(cli._command_name(args))
     assert len(names) == 19
+
+
+def _leaves(p: argparse.ArgumentParser, words: tuple = ()) -> list:
+    """(command words, parser) of every leaf of an argparse tree."""
+    sub = [a for a in p._actions if isinstance(a, argparse._SubParsersAction)]
+    if not sub:
+        return [(list(words), p)]
+    return [leaf for word, q in sub[0].choices.items() for leaf in _leaves(q, words + (word,))]
+
+
+# tokens for a declared value by its type: (well-formed, bad); the bad ones do
+# not convert, are negative numbers, or start with "-" as options do
+_ARGV_VALUES = {
+    int: (["0", "2", "3", "5", "7", "11", "41", " 7", "1_1"], ["x", "1.5", "", "-3"]),
+    float: (["0.5", "2", "32", "1e2", "nan"], ["x", "", "-2", "-1e3"]),
+    None: (["1-t", "(1-2t)/(1-3t)", "1-3t/2", "12/5", "spec Z", "curve:2", "quadratic:5",
+            "1,0,1", "1", "", "v.json"], ["-360/77", "-", "--", "-t"]),
+}
+
+
+@st.composite
+def _argvs(draw, leaves):
+    """An argv drawn from one leaf's declarations: its command words, a value for
+    each positional and for some options (the required ones mostly), the options
+    before, between or after the positionals; then, half the time, a change that
+    argparse reads differently or refuses."""
+    words, leaf = draw(st.sampled_from(leaves))
+    acts = [a for a in leaf._actions if a.default is not argparse.SUPPRESS]
+
+    def value(a):
+        good, bad = (list(a.choices), ["yaml"]) if a.choices else _ARGV_VALUES[a.type]
+        return draw(st.sampled_from(good if draw(st.integers(0, 9)) else bad))
+
+    argv = [value(a) for a in acts if not a.option_strings for _ in range(a.nargs or 1)]
+    argv = argv[:len(argv) + draw(st.sampled_from([0, 0, 0, -1]))]
+    if draw(st.integers(0, 5)) == 0:
+        argv.append(draw(st.sampled_from(_ARGV_VALUES[None][0])))  # one positional too many
+    options = [a for a in acts if a.option_strings
+               if draw(st.integers(0, 9)) > (0 if a.required else 6)]
+    for a in draw(st.permutations(options)):
+        at = draw(st.sampled_from([0, len(argv), draw(st.integers(0, len(argv)))]))
+        argv[at:at] = [a.option_strings[0], value(a)]
+    change = draw(st.sampled_from(["none"] * 9 + [
+        "repeat", "equals", "abbreviate", "help", "dashdash", "negative", "stray", "command",
+        "verb"]))
+    flags = [i for i, tok in enumerate(argv) if tok.startswith("--") and i + 1 < len(argv)]
+    if change == "repeat" and flags:  # the flag again, with a value that may be bad
+        flag, at = argv[draw(st.sampled_from(flags))], draw(st.sampled_from([0, len(argv)]))
+        argv[at:at] = [flag, draw(st.sampled_from(["plain", "json", "3", "x"]))]
+    elif change == "stray":  # one positional too many, cut off from the others by an option
+        pair = [argv.pop(flags[0]), argv.pop(flags[0])] if flags else ["--format", "plain"]
+        argv = [draw(st.sampled_from(["1-t", "7", "x"]))] + pair + argv
+    elif change == "equals" and flags:
+        i = draw(st.sampled_from(flags))
+        argv[i:i + 2] = [argv[i] + "=" + argv[i + 1]]
+    elif change == "abbreviate" and flags:
+        i = draw(st.sampled_from(flags))
+        argv[i] = argv[i][:draw(st.integers(3, len(argv[i])))]
+    elif change == "help":
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["-h", "--help"])))
+    elif change == "dashdash":
+        argv.insert(draw(st.integers(0, len(argv))), "--")
+    elif change == "negative":
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["-3", "-0.5"])))
+    elif change in ("command", "verb"):
+        at = 0 if change == "command" else len(words) - 1
+        words = [*words]
+        words[at] = draw(st.sampled_from([words[at][:-1], words[at] + "s", "bogus", ""]))
+    return words + argv
+
+
+def test_canonical_parse_matches_argparse(tmp_path, monkeypatch):
+    """The canonical-form parse against argparse, on argvs drawn from each leaf's
+    declarations: it declines, or returns the Namespace argparse returns; and main
+    gives the same exit code, stdout and stderr with it and without it."""
+    monkeypatch.chdir(tmp_path)
+    circle = {"p": 5, "vars": 2, "equations": [[[1, [2, 0]], [1, [0, 2]], [-1, [0, 0]]]]}
+    Path("v.json").write_text(json.dumps(circle))
+    tree = cli.build_parser()
+    leaves = _leaves(tree)
+    assert len(leaves) == 19
+    for words, leaf in leaves:  # what the canonical parse takes: -h, and store actions
+        for a in leaf._actions[1:]:  # with one value per option and no str default to convert
+            assert type(a) is argparse._StoreAction, words
+            assert a.nargs is None or type(a.nargs) is int and not a.option_strings, words
+            assert not (a.type and isinstance(a.default, str)), words
+    declined = []
+
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:  # argparse reads --source=-- as [], which no handler takes
+                code = repr(exc)
+        return code, out.getvalue(), err.getvalue()
+
+    @hypothesis.seed(property_seed() + 52)
+    @hypothesis.settings(max_examples=500, deadline=None, database=None)
+    @hypothesis.given(_argvs(leaves))
+    def check(argv):
+        Path("v.json").write_text(json.dumps(circle))  # --out may have written over it
+        fast = cli._parse_canonical(argv)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                slow = tree.parse_args(argv)
+            except SystemExit as exc:
+                slow = exc.code
+        if fast is not None:  # by repr, which tells 1 from 1.0 and "1", and matches nan
+            assert {k: repr(v) for k, v in vars(fast).items()} == (
+                {k: repr(v) for k, v in vars(slow).items()}), argv
+        declined.append(fast is None)
+        got = run(argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parse_canonical", lambda argv: None)
+            assert run(argv) == got, argv
+
+    check()
+    assert 100 < sum(declined) < len(declined) - 100, sum(declined)
