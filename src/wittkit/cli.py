@@ -453,6 +453,11 @@ def _render(args, result, plain_lines) -> str:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _parse_canonical(argv) or build_parser().parse_args(argv)
+    if [] in vars(args).values():  # argparse of 3.10 and 3.11 reads --flag=-- as []:
+        build_parser().parse_args([s for t in argv for s in (  # refused here as --flag --
+            (t[:-3], "--") if t[:1] == "-" and " " not in t and t.partition("=")[2] == "--"
+            else (t,))])
+        return 2  # not reached: the first such t is an option, and "--" never fills one
     name = _command_name(args)
     if args.format == "csv" and name not in TABULAR_COMMANDS:  # usage error
         print(

@@ -4,9 +4,10 @@ Elements are coefficient tuples (c_0, ..., c_{n-1}) of ints mod p,
 residues mod the chosen monic irreducible modulus, constant term first;
 no other module knows that encoding. The plain-int F_p[t] kernel of
 `poly` (`_mulmod`/`_powmod`) serves field arithmetic, the generator
-search, discrete logs and Rabin's irreducibility test, which takes its
-Frobenius powers and gcds from the same kernel. `FiniteField.tables()`
-builds exp/log/digit tables over element codes lazily, once per field.
+search and discrete logs; its distinct-degree loop `_factor_degrees`
+tests each modulus candidate and stops a reducible one at its smallest
+factor degree. `FiniteField.tables()` builds exp/log/digit tables over
+element codes lazily, once per field.
 
 Element k of the enumeration has the digits of k base p, so
 "lexicographically smallest" always means smallest under that integer
@@ -21,7 +22,7 @@ import math
 from typing import Iterator
 
 from .ntheory import bounded_power, factorize, is_prime
-from .poly import Polynomial, _frobenius_gcd, _mulmod, _powmod, format_poly
+from .poly import Polynomial, _factor_degrees, _mulmod, _powmod, format_poly
 from .rings import GF
 
 DEFAULT_FIELD_LIMIT = 10**7
@@ -30,18 +31,9 @@ FFElem = tuple[int, ...]
 
 
 def _is_irreducible(f: Polynomial, p: int) -> bool:
-    """Rabin's test: a monic f of degree n is irreducible iff it divides
-    t^(p^n) - t and gcd(f, t^(p^(n/l)) - t) = 1 for each prime l | n."""
-    n = f.degree
-    if n <= 1:
-        return True
-    h, k = (0, 1), 0  # h = t^(p^k) mod f
-    for j in sorted(n // ell for ell in factorize(n)):
-        h, g = _frobenius_gcd(f.coeffs, h, j - k, p)
-        if len(g) > 1:
-            return False
-        k = j
-    return len(_frobenius_gcd(f.coeffs, h, n - k, p)[1]) == n + 1
+    """Whether a monic f is irreducible over F_p: the distinct-degree loop's
+    first pair is (deg f, 1), where a reducible f yields a lower degree first."""
+    return f.degree <= 1 or next(_factor_degrees(f.coeffs, p)) == (f.degree, 1)
 
 
 def monic_polys(p: int, d: int) -> Iterator[Polynomial]:

@@ -10,10 +10,11 @@ monic over a field, primitive with positive leading coefficient over Z.
 
 F_p[t] has one kernel, on plain-int residue lists that run ascending
 like `coeffs`: long division mod p, the Euclid `_gcd_mod`, products
-(`_product`, then a reduction) and powers mod a monic modulus, and
-`_frobenius_gcd`, t^(p^k) mod f by repeated p-th powers with its gcd
-against f after subtracting t. Rabin's test in `finitefield` and the
-distinct-degree factorisation in `zeta` run on it; its Euclid is the gcd
+(`_product`, then a reduction) and powers mod a monic modulus, and the
+one distinct-degree loop `_factor_degrees`: one p-th power of t^(p^(d-1))
+per degree d, its gcd with f after subtracting t, divided out until that
+gcd is 1. It picks every field modulus in `finitefield` and serves the
+function-field product formula in `zeta`. The kernel's Euclid is the gcd
 over F_p. Over Z, and through it over Q, a constant input gives 1, and a
 certificate at a power of 256 proves nearly every coprime pair of the
 Witt ops. The rest take Brown's dense modular gcd, from Euclid images
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from itertools import repeat, zip_longest
 from math import gcd as int_gcd, lcm
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .ntheory import is_prime
 from .rings import QQ, ZZ, Ring
@@ -140,9 +141,6 @@ class Polynomial:
             for j, b in enumerate(other.coeffs):
                 rem[i + j] -= c * b
         return Polynomial(R, quot), Polynomial(R, rem[: other.degree])  # the rest is 0 in R
-
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        return self.divmod(other)[0]
 
     def __mod__(self, other: "Polynomial") -> "Polynomial":
         return self.divmod(other)[1]
@@ -293,17 +291,25 @@ def _powmod(a: Sequence[int], e: int, low: tuple, p: int) -> tuple:
     return acc
 
 
-def _frobenius_gcd(f: Sequence[int], h: Sequence[int], k: int, p: int) -> tuple:
-    """(h^(p^k) mod f, monic gcd(f, h^(p^k) - t)) for a monic residue list
-    f, by k p-th powers. From h = t the power is t^(p^k), and the gcd is
-    the product of the distinct irreducible factors of f of degree
-    dividing k."""
-    low = tuple(f[:-1])
-    for _ in range(k):
-        h = _powmod(h, p, low, p)
-    d = list(h) + [0] * (2 - len(h))
-    d[1] -= 1
-    return h, _gcd_mod(f, _divmod_mod(d, f, p)[1], p)
+def _factor_degrees(f: Sequence[int], p: int) -> Iterator[tuple[int, int]]:
+    """(d, m) in ascending d for a monic residue list f, m the sum of the
+    multiplicities of f's irreducible factors of degree d (distinct-degree
+    factorisation). At step d, f has no factor of degree below d, so
+    gcd(f, t^(p^d) - t) is the product of its distinct degree-d factors;
+    dividing it out until the gcd is 1 counts each once per multiplicity.
+    Once 2d > deg f, f is 1 or irreducible, so a reducible f yields a
+    degree of at most deg f / 2 first."""
+    h, d = (0, 1), 1  # h = t^(p^(d-1)) mod a multiple of f
+    while len(f) > 2 * d:
+        h, m = _powmod(h, p, tuple(f[:-1]), p), 0
+        while len(g := _gcd_mod(f, _divmod_mod(_sum(h, (0, -1)), f, p)[1], p)) > 1:
+            m += (len(g) - 1) // d
+            f = _divmod_mod(f, g, p)[0]
+        if m:
+            yield d, m
+        d += 1
+    if len(f) > 1:
+        yield len(f) - 1, 1
 
 
 def _gcd_zz(a: Polynomial, b: Polynomial) -> Polynomial:

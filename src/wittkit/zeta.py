@@ -9,8 +9,9 @@ recover the counts. Ledgers list closed points as (norm, length,
 multiplicity) rows with length = log(norm), which is what makes the
 Euler and Ruelle products term-for-term identical; a quadratic ledger
 splits each prime by ntheory.kronecker_symbol. The function-field
-product formula reads the degrees of the irreducible factors by
-distinct-degree factorisation on the F_p[t] kernel of `poly`.
+product formula reads the degrees of the irreducible factors from the
+one distinct-degree loop of `poly`, `_factor_degrees`, which also picks
+every field modulus.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 
 from .counting import AffineVariety, count_points
 from .ntheory import factorize, is_prime, kronecker_symbol, primes_upto
-from .poly import Polynomial, _divmod_mod, _frobenius_gcd
+from .poly import Polynomial, _factor_degrees
 from .rings import QQ, ZZ
 from .series import pade_reconstruct, poly_from_power_sums
 from .util import kahan_sum
@@ -159,28 +160,6 @@ def product_formula_scale(f: Fraction) -> float:
     return kahan_sum(abs(e) * math.log(p) for p, e in rational_orders(Fraction(f)).items())
 
 
-def _degree_blocks(f: Polynomial) -> dict[int, int]:
-    """{d: sum of the multiplicities of f's monic irreducible factors of
-    degree d} for a nonzero f over F_p, by distinct-degree factorisation:
-    at step d the remainder has no factor of degree below d, so
-    gcd(rem, t^(p^d) - t) is the product of its distinct degree-d
-    factors, and dividing it out until the gcd is 1 counts each once per
-    multiplicity. Once 2d > deg rem, rem is 1 or irreducible."""
-    p = f.ring.characteristic
-    rem, blocks = f.monic().coeffs, {}
-    h, d = (0, 1), 1  # h = t^(p^(d-1)) mod a multiple of rem
-    while len(rem) > 2 * d:
-        h, g = _frobenius_gcd(rem, h, 1, p)
-        while len(g) > 1:
-            blocks[d] = blocks.get(d, 0) + (len(g) - 1) // d
-            rem = _divmod_mod(rem, g, p)[0]
-            g = _frobenius_gcd(rem, h, 0, p)[1]
-        d += 1
-    if len(rem) > 1:
-        blocks[len(rem) - 1] = blocks.get(len(rem) - 1, 0) + 1
-    return blocks
-
-
 def function_field_product_formula(num: Polynomial, den: Polynomial) -> int:
     """sum over monic irreducibles pi of ord_pi(f) deg(pi), plus
     ord_infinity = deg den - deg num; always exactly 0."""
@@ -188,9 +167,10 @@ def function_field_product_formula(num: Polynomial, den: Polynomial) -> int:
         raise ValueError("ring mismatch")
     if num.is_zero() or den.is_zero():
         raise ValueError("f must be a nonzero rational function")
+    p = num.ring.characteristic
     total = den.degree - num.degree  # ord at infinity
     for piece, sign in ((num, 1), (den, -1)):
-        total += sign * sum(d * e for d, e in _degree_blocks(piece).items())
+        total += sign * sum(d * m for d, m in _factor_degrees(piece.monic().coeffs, p))
     return total
 
 

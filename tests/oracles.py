@@ -9,18 +9,23 @@ constructions that the Newton power-sum routes in wittkit replace:
   product and F_nu through literal Kronecker products and matrix powers;
 - ghost_via_series, the ghost map read off the expanded series;
 - count_irreducibles_by_enumeration, a test of every monic candidate;
-- field_mul_reference, field_pow_reference and is_irreducible_reference,
-  finite-field arithmetic through Polynomial objects, with a Euclid of
-  Polynomial.__mod__ steps, instead of the plain-int F_p[t] kernel in
+- field_mul_reference and field_pow_reference, finite-field arithmetic
+  through Polynomial objects, instead of the plain-int F_p[t] kernel in
   wittkit.poly;
+- is_irreducible_reference, Rabin's test (t^(p^n) = t mod f, and no
+  common factor with t^(p^(n/l)) - t for a prime l | n) through
+  Polynomial objects with a Euclid of Polynomial.__mod__ steps: an
+  algorithm independent of the distinct-degree loop
+  wittkit.poly._factor_degrees that wittkit.finitefield._is_irreducible
+  runs;
 - brute_force_count, a point count by evaluating every equation at every
   point of F_{p^n}^k in that Polynomial-object arithmetic, and _count_sweep,
   the same enumeration on the field tables with the last variable swept as
   a numpy vector per assignment of the others, both instead of the value
   histograms over groups of variables in wittkit.counting;
 - _poly_irreducible_factors, factorization over F_p by trial division
-  by every monic candidate, instead of the distinct-degree
-  factorisation in wittkit.zeta;
+  by every monic candidate, the oracle of the factor degrees that the
+  distinct-degree loop wittkit.poly._factor_degrees reads;
 - solve_linear_system and pade_reconstruct_toeplitz, Padé reconstruction
   by an exact Gauss-Jordan solve of the Toeplitz system instead of the
   extended Euclidean algorithm in wittkit.series;
@@ -403,7 +408,7 @@ def _tuples(base, length):
 
 
 def is_irreducible_reference(f: Polynomial, p: int) -> bool:
-    """Degree-n modulus test: x^{p^n} = x mod f, and no subfield roots."""
+    """Rabin's test: x^{p^n} = x mod f, and no subfield roots."""
     n = f.degree
     x = Polynomial.t(f.ring)
     if _poly_powmod(x, p**n, f) != x % f:

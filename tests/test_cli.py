@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -708,3 +709,37 @@ def test_unusable_bump_refused_fast(capsys, bump, message):
     assert code == 1
     assert err == f"wittkit: error: {message}\n"  # one line, no traceback
     assert out == ""
+
+
+def _argparse_stores_empty() -> bool:
+    """Whether this Python's argparse reads --flag=-- as [] (3.10 and 3.11), not
+    as the value "--" (as newer releases do)."""
+    probe = argparse.ArgumentParser()
+    probe.add_argument("--x")
+    return probe.parse_args(["--x=--"]).x == []
+
+
+@pytest.mark.parametrize("argv", [
+    "zeta ledger --source=-- --bound 0.5",
+    "explicit-formula run --bump=--",
+    "product-formula function-field --p 3 --num=-- --den 1",
+    "witt parse 1-t --out=--",
+    "zeta count --variety=-- --n 1",
+    "witt ghost 1-t --order=--",
+])
+def test_flag_equals_double_dash_refused(capsys, tmp_path, monkeypatch, argv):
+    """Where argparse stores [] for --flag=--, which no handler takes, the argv is
+    refused as --flag -- is: exit 2, the leaf's usage and "expected one argument".
+    Where argparse reads "--" as the value, the value is refused as any other bad
+    one is, except that --out=-- names a file "--", which is then written."""
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, argv.split())
+    assert "Traceback" not in err
+    if _argparse_stores_empty():
+        flag = next(t for t in argv.split() if t.endswith("=--"))[:-3]
+        spaced = run_cli(capsys, argv.replace(f"{flag}=--", f"{flag} --").split())
+        assert (code, out, err) == spaced
+        assert code == 2 and err.endswith(f": error: argument {flag}: expected one argument\n")
+        assert err.startswith("usage: wittkit " + " ".join(argv.split()[:2]))
+    else:
+        assert code in ((0,) if "--out=--" in argv else (1, 2)), err

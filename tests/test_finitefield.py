@@ -10,15 +10,23 @@ from wittkit.rings import GF
 
 
 def test_smallest_irreducible_known():
+    """The modulus fixes each field's element encoding, so every printed field
+    element depends on it; F_2^23 is at the field size limit."""
     cases = [
         ((2, 1), (0, 1)),        # t
         ((2, 2), (1, 1, 1)),     # t^2 + t + 1
         ((2, 3), (1, 1, 0, 1)),  # t^3 + t + 1, not t^3 + t^2 + 1
         ((3, 2), (1, 0, 1)),     # t^2 + 1
         ((5, 1), (0, 1)),
+        ((2, 23), (1, 0, 0, 0, 0, 1) + (0,) * 17 + (1,)),  # t^23 + t^5 + 1
+        ((3, 14), (2, 1) + (0,) * 12 + (1,)),  # t^14 + t + 2
+        ((1009, 2), (11, 0, 1)),
+        ((101, 3), (1, 1, 0, 1)),
+        ((17, 4), (3, 0, 0, 0, 1)),
+        ((7, 4), (1, 1, 0, 0, 1)),
     ]
     for (p, n), want in cases:
-        assert smallest_irreducible(p, n).coeffs == want
+        assert smallest_irreducible(p, n).coeffs == want, (p, n)
 
 
 def test_field_construction_and_published_generator():

@@ -65,7 +65,7 @@ from wittkit.finitefield import (
 from wittkit.ntheory import _PSI, factorize, is_prime, kronecker_symbol, primes_upto
 from wittkit.orbits import FiniteLevelPoint, orbit_of, packet_report, packet_summary
 from wittkit.parser import ParseError, parse_witt
-from wittkit.poly import _GCD_PRIMES, Polynomial, _gcd_primes, _mulmod, _powmod
+from wittkit.poly import _GCD_PRIMES, Polynomial, _factor_degrees, _gcd_primes, _mulmod, _powmod
 from wittkit.reciprocity import REDEI_SEARCH_START, _redei_solutions, linking_table
 from wittkit.rings import GF, QQ, ZZ
 from wittkit.series import (
@@ -76,7 +76,6 @@ from wittkit.series import (
 )
 from wittkit.witt import WittVector, ghost
 from wittkit.zeta import (
-    _degree_blocks,
     count_irreducibles,
     function_field_product_formula,
     zeta_reference,
@@ -181,10 +180,35 @@ def test_field_kernel_matches_reference():
 
 
 def test_is_irreducible_matches_reference():
-    for p in (2, 3, 5):
-        for d in range(5):
+    """Rabin's test in oracles.py against the distinct-degree loop on every
+    monic polynomial over F_2 and F_3 of degree at most 6, over F_5 and F_7
+    of degree at most 4 and over F_11 of degree at most 3; and on seeded
+    inputs where the loop stops at its first factor degree d: products of
+    two distinct irreducibles of degree d and squares g^2 with deg g = d,
+    both first read as (d, 2), and random monic polynomials of degree 7 to 12."""
+    for p, top in ((2, 6), (3, 6), (5, 4), (7, 4), (11, 3)):
+        for d in range(top + 1):
             for f in monic_polys(p, d):
                 assert _is_irreducible(f, p) == is_irreducible_reference(f, p), f
+    rng = random.Random(property_seed() + 53)
+
+    def monic(p, d):
+        return Polynomial(GF(p), [rng.randrange(p) for _ in range(d)] + [1])
+
+    def irreducible(p, d):
+        while not is_irreducible_reference(f := monic(p, d), p):
+            pass
+        return f
+
+    for p in (2, 3, 5):
+        for d in range(1, 7):
+            g = irreducible(p, d)
+            for f in [g * g] + [g * h for h in (irreducible(p, d) for _ in range(3)) if h != g]:
+                assert next(_factor_degrees(f.coeffs, p)) == (d, 2), f
+                assert not _is_irreducible(f, p) and not is_irreducible_reference(f, p), f
+        for _ in range(40):
+            f = monic(p, rng.randint(7, 12))
+            assert _is_irreducible(f, p) == is_irreducible_reference(f, p), f
 
 
 def test_degree_blocks_match_trial_division():
@@ -220,7 +244,7 @@ def test_degree_blocks_match_trial_division():
         want: dict[int, int] = {}
         for pi, e in _poly_irreducible_factors(f).items():
             want[pi.degree] = want.get(pi.degree, 0) + e
-        assert _degree_blocks(f) == want, f
+        assert dict(_factor_degrees(f.monic().coeffs, f.ring.characteristic)) == want, f
         assert function_field_product_formula(f, Polynomial.one(f.ring)) == 0
 
 
@@ -1157,7 +1181,7 @@ def test_canonical_parse_matches_argparse(tmp_path, monkeypatch):
                 code = main(list(argv))
             except SystemExit as exc:
                 code = exc.code
-            except Exception as exc:  # argparse reads --source=-- as [], which no handler takes
+            except Exception as exc:  # any escape is compared by repr on both routes
                 code = repr(exc)
         return code, out.getvalue(), err.getvalue()
 
