@@ -39,6 +39,7 @@ from . import parser as wparser
 from . import witt as wmod
 from .poly import Polynomial, format_poly
 from .rings import GF, QQ
+from .util import over_cap
 
 # tabular command -> (result key of its rows, column names in row order,
 # whether plain output prints the column names); `_write_table` writes the
@@ -474,6 +475,9 @@ def main(argv=None) -> int:
             with open(args.out, "w") as fh:
                 fh.write(text)
     except (ValueError, RuntimeError, AssertionError, ArithmeticError, OSError) as exc:
+        if "for integer string conversion;" in str(exc):  # int -> str, not str -> int
+            cap = sys.get_int_max_str_digits()
+            exc = over_cap("printing an integer", f"over {cap} digits", cap)
         print(f"wittkit: error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -12,7 +12,7 @@ the number of ways the groups' values add up to 0, times q per variable
 that no term mentions: O(q^s) work per group of s variables instead of
 O(q^k) for the whole space (the elementary counting of diagonal
 equations, Weil, Bull. AMS 55, 1949; Ireland & Rosen, ch. 8). Every
-variety is held to the same cap on the p^(kn) evaluation steps.
+variety is held to the same cap on the p^(kn) evaluation steps (--cap).
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .finitefield import finite_field_make
-from .ntheory import bounded_power, is_prime
+from .ntheory import is_prime
+from .util import capped_power
 
 DEFAULT_ENUM_CAP = 10**8
 _CHUNK = 1 << 15  # points of a group evaluated per numpy pass
@@ -103,19 +104,7 @@ def count_points(X: AffineVariety, n: int, cap: int = DEFAULT_ENUM_CAP) -> int:
     variables; refused when p^(kn) is above the cap."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    # p^e steps; far above the cap, refuse from its bit length and print
-    # it as a power, since the exact count can take seconds to build and
-    # more digits than str() converts
-    e = X.nvars * n
-    steps = bounded_power(X.p, e, cap)
-    if steps is None:
-        raise ValueError(
-            f"enumeration needs {X.p}^{e} evaluation steps, above the cap {cap}"
-        )
-    if steps > cap:
-        raise ValueError(
-            f"enumeration needs {steps} evaluation steps, above the cap {cap}"
-        )
+    capped_power(X.p, X.nvars * n, cap, "enumeration", "evaluation steps", "--cap")
     field = finite_field_make(X.p, n)
     q, k = field.q, X.nvars
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .ntheory import primes_upto
-from .util import kahan_sum
+from .util import kahan_sum, over_cap
 
 QUAD_START_NODES = 32
 QUAD_MAX_NODES = 2**14  # the top level of the bundled node table
@@ -149,8 +149,8 @@ def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _quad_doubling(vec_f, a: float, b: float):
-    """Gauss-Legendre on [a, b], doubling nodes until successive values
-    agree to 1e-12 relative (absolute for values below 1).
+    """Gauss-Legendre on [a, b], doubling nodes until successive values agree
+    to 1e-12 relative (absolute for values below 1), refused past QUAD_MAX_NODES.
 
     `vec_f(t)` gives the integrand at the nodes t, shape (n,) for one
     integral (returned as float or complex) or (m, n) for a block of m
@@ -180,7 +180,7 @@ def _quad_doubling(vec_f, a: float, b: float):
                     return out.item() if out.ndim == 0 else out
             prev = val
             n *= 2
-    raise RuntimeError(f"quadrature did not converge within {QUAD_MAX_NODES} nodes")
+    raise RuntimeError(over_cap("quadrature", f"{n} nodes", QUAD_MAX_NODES))
 
 
 def _transform_integrand(phi: TestFunction, alpha):

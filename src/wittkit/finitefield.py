@@ -1,4 +1,4 @@
-"""Explicit finite fields F_{p^n} at desk scale.
+"""Explicit finite fields F_{p^n} of at most DEFAULT_FIELD_LIMIT elements.
 
 Elements are coefficient tuples (c_0, ..., c_{n-1}) of ints mod p,
 residues mod the chosen monic irreducible modulus, constant term first;
@@ -21,9 +21,10 @@ import functools
 import math
 from typing import Iterator
 
-from .ntheory import bounded_power, factorize, is_prime
+from .ntheory import factorize, is_prime
 from .poly import Polynomial, _factor_degrees, _mulmod, _powmod, format_poly
 from .rings import GF
+from .util import capped_power
 
 DEFAULT_FIELD_LIMIT = 10**7
 
@@ -60,12 +61,8 @@ class FiniteField:
             raise ValueError(f"{p} is not prime")
         if n < 1:
             raise ValueError("n must be >= 1")
-        q = bounded_power(p, n, DEFAULT_FIELD_LIMIT)
-        if q is None or q > DEFAULT_FIELD_LIMIT:
-            raise ValueError(f"field size {p}^{n} exceeds limit {DEFAULT_FIELD_LIMIT}")
-        self.p = p
-        self.n = n
-        self.q = q
+        self.p, self.n = p, n
+        self.q = capped_power(p, n, DEFAULT_FIELD_LIMIT, "finite field", "elements")
         self.base = GF(p)
         self.modulus = smallest_irreducible(p, n)
         self._low: FFElem = self.modulus.coeffs[:n]

@@ -1,7 +1,7 @@
 """Elementary number theory helpers shared across the package.
 
-Everything here is exact and desk-scale; the sieve stops at SIEVE_LIMIT.
-Factoring is trial division, ended once is_prime certifies the cofactor.
+Everything here is exact and desk-scale: the sieve stops at SIEVE_LIMIT,
+factoring at trial divisors to TRIAL_DIVISION_LIMIT or a certified cofactor.
 kronecker_symbol is the one quadratic character; callers check p prime.
 Primality is trial division by the primes up to 127, then Miller-Rabin
 on the first k prime bases, which is exact below psi_k (Jaeschke 1993;
@@ -15,6 +15,8 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
+
+from .util import over_cap
 
 TRIAL_DIVISION_LIMIT = 10**6
 SIEVE_LIMIT = 2 * 10**6
@@ -43,7 +45,7 @@ def is_prime(n: int) -> bool:
             return n <= 41 and n in _SMALL_PRIMES
         return n > 1
     if n >= PRIMALITY_BOUND:
-        raise ValueError(f"primality is certified only below {PRIMALITY_BOUND}")
+        raise ValueError(over_cap("primality test", f"n = {n}", PRIMALITY_BOUND - 1))
     if math.gcd(n, _SMALL_PRODUCT) != 1 or math.gcd(n, _NEXT_PRODUCT) != 1:
         return False
     if n < 131 * 131:
@@ -67,7 +69,7 @@ def is_prime(n: int) -> bool:
 def primes_upto(bound: int) -> list[int]:
     """All primes p <= bound, by Eratosthenes; ValueError above SIEVE_LIMIT."""
     if bound > SIEVE_LIMIT:
-        raise ValueError(f"prime sieve up to {bound} is above the cap {SIEVE_LIMIT}")
+        raise ValueError(over_cap("prime sieve", f"bound {bound}", SIEVE_LIMIT))
     if bound < 2:
         return []
     sieve = bytearray([1]) * (bound + 1)
@@ -101,18 +103,11 @@ def factorize(n: int) -> dict[int, int]:
                 factors[q] = factors.get(q, 0) + 1
                 n //= q
             certified = n < PRIMALITY_BOUND and is_prime(n)
+    if n > 1 and not certified:  # trial division to isqrt(n) would split n or prove it prime
+        raise ValueError(over_cap(f"factoring {n}", f"trial divisors to {math.isqrt(n)}", limit))
     if n > 1:
-        if not certified:
-            bound = f" and primality bound {PRIMALITY_BOUND}" if n >= PRIMALITY_BOUND else ""
-            raise ValueError(f"factor beyond trial-division limit {limit}{bound}: {n}")
         factors[n] = 1
     return factors
-
-
-def bounded_power(p: int, e: int, limit: int) -> int | None:
-    """p**e, or None when it is above limit by a factor over 2^128, told from
-    bit lengths: such a power can take seconds to build and to print."""
-    return None if e > (limit.bit_length() + 128) / math.log2(p) else p**e
 
 
 def euler_phi(n: int) -> int:

@@ -1,11 +1,12 @@
 """Finite-level periodic-orbit packets over a closed point.
 
-A point at level (p, n) is a character index a mod m, m = p^n - 1,
-labeling chi_a(g^k) = e^{2 pi i a k / m} for the field's fixed
-generator g. Frobenius precomposes with the p-power map, so it sends a
-to a*p mod m. Faithful points (gcd(a, m) = 1) fall into orbits of
-length exactly n, and the packet over the closed point consists of
-phi(m)/n such orbits, each of suspension length n log p.
+A point at level (p, n) is a character index a mod m = p^n - 1, labeling
+chi_a(g^k) = e^{2 pi i a k / m} for the field's fixed generator g.
+Frobenius precomposes with the p-power map, so it sends a to a*p mod m.
+Faithful points (gcd(a, m) = 1) fall into orbits of length exactly n,
+and the packet over the closed point consists of phi(m)/n such orbits,
+each of suspension length n log p. Packets stop at p^n = PACKET_SIZE_CAP
+and listings at LIST_LIMIT_CAP orbits, refused by util.over_cap.
 """
 
 from __future__ import annotations
@@ -15,10 +16,13 @@ import math
 from dataclasses import dataclass
 
 from .finitefield import DEFAULT_FIELD_LIMIT, finite_field_make
-from .ntheory import bounded_power, euler_phi, factorize, is_prime
+from .ntheory import euler_phi, factorize, is_prime
+from .util import capped_power, over_cap
 
 # the largest --list-limit; the longest listing it admits (2645371 1) prints in about 1 s
 LIST_LIMIT_CAP = 5 * 10**5
+# the largest residue field p^n of a packet; m = p^n - 1 <= 10^9 too: 10^9 + 1 is no prime power
+PACKET_SIZE_CAP = 10**9
 
 
 @dataclass(frozen=True)
@@ -110,12 +114,7 @@ def packet_summary(p: int, n: int) -> PacketSummary:
         raise ValueError(f"{p} is not prime")
     if n < 1:
         raise ValueError("n must be >= 1")
-    # far above the limit, p^n - 1 is slow to build and print: name it as a power
-    size = bounded_power(p, n, 10**9)
-    if size is None:
-        raise ValueError(f"p^n - 1 = {p}^{n} - 1 above the 10^9 limit")
-    if size - 1 > 10**9:
-        raise ValueError(f"p^n - 1 = {size - 1} above the 10^9 limit")
+    size = capped_power(p, n, PACKET_SIZE_CAP, "orbits packet", "residue field elements")
     faithful = euler_phi(size - 1)
     return PacketSummary(p=p, n=n, orbit_count=faithful // n, orbit_length=n,
                          suspension_length=n * math.log(p), faithful_count=faithful)
@@ -126,8 +125,7 @@ def check_list_limit(list_limit: int) -> None:
     if list_limit < 0:
         raise ValueError(f"orbits packet --list-limit {list_limit} is below 0")
     if list_limit > LIST_LIMIT_CAP:
-        raise ValueError(f"orbits packet --list-limit {list_limit} is above the cap"
-                         f" {LIST_LIMIT_CAP}")
+        raise ValueError(over_cap("orbits packet", f"--list-limit {list_limit}", LIST_LIMIT_CAP))
 
 
 def packet_report(p: int, n: int, list_limit: int = 10**4) -> dict:

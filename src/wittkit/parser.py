@@ -9,18 +9,19 @@ Grammar, with ordinary precedence and parenthesization:
 
 The expression is evaluated over Z, on (num, den) pairs of int lists, so
 a literal a/b stays the pair (a, b), and the result has one
-canonicalization, WittVector over Z. It must have constant term 1. Q is
-used only when Z refuses: a result that is not integral, such as
-(2 - t)/2, comes back over Q. One budget on the whole expression is the
-only size gate: it bounds the coefficient bits, and charges each list
-operation and the gcd before their work. EXPR_DEPTH_CAP bounds nesting.
+canonicalization, WittVector over Z. It must have constant term 1; one
+that is not integral, such as (2 - t)/2, comes back over Q. One budget
+on the whole expression is the only size gate: it bounds the coefficient
+bits, and charges each list operation and the gcd (once) before their
+work. EXPR_DEPTH_CAP bounds nesting. util.over_cap words each refusal.
 """
 
 from __future__ import annotations
 
 from .poly import Polynomial, _product, _sum
 from .rings import QQ, ZZ
-from .witt import WittVector
+from .util import over_cap
+from .witt import WittVector, lowest_terms
 
 
 class ParseError(ValueError):
@@ -48,9 +49,9 @@ class _Tokens:
                 while j < n and text[j].isdigit():
                     j += 1
                 digits = text[i:j].lstrip("0")
-                if len(digits) > 4215:  # at least 10^4215 > 2^14000
-                    raise ParseError(f"integer of {len(digits)} digits is above the cap"
-                                     f" {EXPR_BITS_CAP} on coefficient bits", i)
+                if len(digits) > 4215:  # at least 10^4215 > 2^14000; log2(10) > 3.3219
+                    need = f"over {(len(digits) - 1) * 33219 // 10000} coefficient bits"
+                    raise ParseError(over_cap("integer literal", need, EXPR_BITS_CAP), i)
                 self.toks.append(("int", int(digits or "0"), i))
                 i = j
                 continue
@@ -92,10 +93,10 @@ EXPR_DEPTH_CAP = 400
 
 def _charge(toks: _Tokens, work: int, bits: int, pos: int) -> None:
     toks.work += work
-    if bits > EXPR_BITS_CAP or toks.work > EXPR_WORK_CAP:
-        need, cap, what = ((bits, EXPR_BITS_CAP, "coefficient bits") if bits > EXPR_BITS_CAP
-                           else (toks.work, EXPR_WORK_CAP, "work units"))
-        raise ParseError(f"expression needs {need} {what}, above the cap {cap}", pos)
+    if bits > EXPR_BITS_CAP:
+        raise ParseError(over_cap("expression", f"{bits} coefficient bits", EXPR_BITS_CAP), pos)
+    if toks.work > EXPR_WORK_CAP:
+        raise ParseError(over_cap("expression", f"{toks.work} work units", EXPR_WORK_CAP), pos)
 
 
 def _bits(p: list) -> int:
@@ -223,7 +224,7 @@ def _parse_atom(toks: _Tokens) -> _RF:
         raise ParseError(f"expected integer, 't' or '(', found {kind!r}", pos)
     toks.depth += 2 if kind == "(" else 1
     if toks.depth > EXPR_DEPTH_CAP:
-        raise ParseError(f"expression nests {toks.depth} deep, above the cap {EXPR_DEPTH_CAP}", pos)
+        raise ParseError(over_cap("expression", f"nesting depth {toks.depth}", EXPR_DEPTH_CAP), pos)
     if kind == "(":
         inner, (close, _, cpos) = _parse_expr(toks), toks.advance()
         if close != ")":
@@ -241,7 +242,7 @@ def check_ring_op(name: str, left, right) -> None:
              for pair in zip(left, right))
     work = sum(_work(a, len(b), _bits(a), _bits(b)) for a, b in pairs if [1] not in (a, b))
     if work > EXPR_WORK_CAP:
-        raise ValueError(f"{name} needs {work} work units, above the cap {EXPR_WORK_CAP}")
+        raise ValueError(over_cap(name, f"{work} work units", EXPR_WORK_CAP))
 
 
 def parse_witt(expr: str) -> WittVector:
@@ -255,10 +256,10 @@ def parse_witt(expr: str) -> WittVector:
     # 3 per pair, each length + 10, times (1 + bits / 64); (1-t^165110)/(1-t) takes 1.1 s
     gcd = 3 * (len(num) + 10) * (len(den) + 10) * (64 + min(_bits(num), _bits(den))) >> 6
     _charge(toks, gcd, 0, pos)
-    num, den = Polynomial(ZZ, num), Polynomial(ZZ, den)
+    num, den, c = lowest_terms(Polynomial(ZZ, num), Polynomial(ZZ, den))
     try:
-        return WittVector(num, den)
-    except ValueError:  # not integral, or not a Witt vector: Q decides
-        # the gcd again, and 192 per Fraction coefficient: (2-2t^32733)/(1-t)/(2+t) 1.2 s
-        _charge(toks, gcd + 192 * (len(num.coeffs) + len(den.coeffs)), 0, pos)
-        return WittVector(num.map_ring(QQ), den.map_ring(QQ))
+        return WittVector(num, den, constant=c)
+    except ValueError:  # not integral: the same reduced pair over Q, divided by c
+        # 192 per Fraction coefficient: (2-2t^37700)/(1-t)/(2+t), at the cap, takes 0.4 s
+        _charge(toks, 192 * (len(num.coeffs) + len(den.coeffs)), 0, pos)
+        return WittVector(num.map_ring(QQ), den.map_ring(QQ), constant=c)

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .ntheory import is_prime, kronecker_symbol, primes_upto, sqrt_mod_prime
+from .util import over_cap
 
 REDEI_SEARCH_START = 64
 REDEI_SEARCH_CAP = 2**20
@@ -59,7 +60,7 @@ def linking_table(bound: int) -> list[tuple]:
     if bound < 5:
         raise ValueError("bound must be >= 5")
     if bound > LINKING_BOUND_CAP:
-        raise ValueError(f"linking table --bound {bound} is above the cap {LINKING_BOUND_CAP}")
+        raise ValueError(over_cap("linking table", f"--bound {bound}", LINKING_BOUND_CAP))
     odd_primes = primes_upto(bound - 1)[1:]  # drop 2
     chi = {l: _residue_table(l) for l in odd_primes}
     return [_linking_entry(p, l, chi[l][p % l], chi[p][l % p])
@@ -108,7 +109,7 @@ def redei_symbol(p: int, l: int, q: int, *, details: bool = False):
 
     Preconditions: p, l, q distinct primes = 1 mod 4, all pairwise
     Legendre symbols +1. The window W doubles from 64 until it holds a
-    solution, and the search gives up past 2^20 ("search exhausted");
+    solution, and the search refuses a window above REDEI_SEARCH_CAP = 2^20;
     every solution of the first such window is checked.
     """
     for v in (p, l, q):
@@ -125,12 +126,10 @@ def redei_symbol(p: int, l: int, q: int, *, details: bool = False):
     r = sqrt_mod_prime(p, q)
     bound = REDEI_SEARCH_START
     while not (solutions := _redei_solutions(p, l, q, bound)):
-        if bound >= REDEI_SEARCH_CAP:
-            raise ValueError(
-                f"search exhausted: no solution of x^2 = {p} y^2 + {l} z^2"
-                f" within |y|,|z| <= {REDEI_SEARCH_CAP}"
-            )
         bound *= 2
+        if bound > REDEI_SEARCH_CAP:
+            need = f"a window x <= {bound}"
+            raise ValueError(over_cap(f"redei({p}, {l}, {q})", need, REDEI_SEARCH_CAP))
 
     symbols = set()
     for x, y, z in solutions:

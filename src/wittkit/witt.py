@@ -27,6 +27,7 @@ from typing import Sequence
 from .poly import Polynomial
 from .rings import QQ, ZZ, PrimeField, Ring, ring_by_name
 from .series import pade_reconstruct, poly_from_power_sums, power_sums, series_of_rational
+from .util import over_cap
 
 # witt_mul refuses a product whose tensor determinants have a larger degree
 WITT_MUL_DEGREE_CAP = 64
@@ -45,36 +46,25 @@ class WittVector:
 
     __slots__ = ("ring", "num", "den")
 
-    def __init__(self, num: Polynomial, den: Polynomial | None = None):
+    def __init__(self, num: Polynomial, den: Polynomial | None = None, *, constant=None):
+        # a `constant` given: num/den is in lowest terms with it (lowest_terms), no gcd
         if den is None:
             den = Polynomial.one(num.ring)
         if num.ring != den.ring:
             raise ValueError("ring mismatch")
         R = num.ring
-        if den.is_zero():
-            raise ZeroDivisionError("denominator is zero")
-        if num.is_zero():
-            raise ValueError("not a Witt vector: f(0) != 1")
-        g = num.gcd(den)
-        if g.degree > 0:
-            num = num.exact_div(g)
-            den = den.exact_div(g)
-        cu, cv = num.constant(), den.constant()
-        if not cu or cu != cv:
-            raise ValueError("not a Witt vector: f(0) != 1")
-        if cu != 1:
+        if constant is None:
+            num, den, constant = lowest_terms(num, den)
+        if constant != 1:
             if R.is_field:
-                inv = R.inv(cu)
-                num, den = num.scale(inv), den.scale(inv)
+                num, den = num.scale(R.inv(constant)), den.scale(R.inv(constant))
             else:
                 try:
-                    num = Polynomial(R, [R.div(c, cu) for c in num.coeffs])
-                    den = Polynomial(R, [R.div(c, cu) for c in den.coeffs])
+                    num, den = (Polynomial(R, [R.div(c, constant) for c in p.coeffs])
+                                for p in (num, den))
                 except ValueError:
                     raise ValueError("not defined over Z") from None
-        self.ring = R
-        self.num = num
-        self.den = den
+        self.ring, self.num, self.den = R, num, den
 
     def __eq__(self, other):
         if not isinstance(other, WittVector):
@@ -111,6 +101,18 @@ class WittVector:
     def from_json(cls, data: dict) -> "WittVector":
         R = ring_by_name(data["ring"])
         return cls(Polynomial(R, data["num"]), Polynomial(R, data["den"]))
+
+
+def lowest_terms(num: Polynomial, den: Polynomial) -> tuple:
+    """(num / g, den / g, c) for g = gcd(num, den), where c is the constant term
+    of both quotients; "not a Witt vector" when those differ or are 0."""
+    if den.is_zero():
+        raise ZeroDivisionError("denominator is zero")
+    if not num.is_zero() and (g := num.gcd(den)).degree > 0:
+        num, den = num.exact_div(g), den.exact_div(g)
+    if not (c := num.constant()) or c != den.constant():
+        raise ValueError("not a Witt vector: f(0) != 1")
+    return num, den, c
 
 
 def witt_zero(ring: Ring = ZZ) -> WittVector:
@@ -163,15 +165,9 @@ def tensor_det(P: Polynomial, Q: Polynomial) -> Polynomial:
 def witt_mul(f: WittVector, g: WittVector) -> WittVector:
     if f.ring != g.ring:
         raise ValueError("ring mismatch")
-    sizes = (
-        f.num.degree * g.num.degree,
-        f.den.degree * g.den.degree,
-        f.num.degree * g.den.degree,
-        f.den.degree * g.num.degree,
-    )
-    worst = max(sizes)
-    if worst > WITT_MUL_DEGREE_CAP:
-        raise ValueError(f"tensor degree {worst} exceeds the cap {WITT_MUL_DEGREE_CAP}")
+    worst = max(f.num.degree, f.den.degree) * max(g.num.degree, g.den.degree)
+    if worst > WITT_MUL_DEGREE_CAP:  # the largest of the four tensor determinants
+        raise ValueError(over_cap("witt mul", f"tensor degree {worst}", WITT_MUL_DEGREE_CAP))
     num = tensor_det(f.num, g.num) * tensor_det(f.den, g.den)
     den = tensor_det(f.num, g.den) * tensor_det(f.den, g.num)
     return WittVector(num, den)
@@ -221,7 +217,7 @@ def _check_cap(f: WittVector, k: int, quantity: str, name: str, cap: int,
     degree = max(f.num.degree, f.den.degree, least_degree)
     if k < 1 or k * degree > cap:
         raise ValueError(f"{quantity} must be >= 1" if k < 1 else
-                         f"{name} needs {quantity} * degree = {k} * {degree}, above the cap {cap}")
+                         over_cap(name, f"{quantity} * degree = {k} * {degree}", cap))
 
 
 def frobenius(f: WittVector, nu: int) -> WittVector:

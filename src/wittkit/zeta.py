@@ -26,7 +26,7 @@ from .ntheory import factorize, is_prime, kronecker_symbol, primes_upto
 from .poly import Polynomial, _factor_degrees
 from .rings import QQ, ZZ
 from .series import pade_reconstruct, poly_from_power_sums
-from .util import kahan_sum
+from .util import kahan_sum, over_cap
 from .witt import WittVector, ghost
 
 # --- zeta as a Witt vector ---
@@ -176,6 +176,9 @@ def function_field_product_formula(num: Polynomial, den: Polynomial) -> int:
 
 # --- closed-point ledgers ---
 
+# the largest |d| of a quadratic ledger's fundamental discriminant
+DISCRIMINANT_CAP = 10**4
+
 
 @dataclass(frozen=True)
 class ClosedPointLedger:
@@ -213,11 +216,11 @@ def is_fundamental_discriminant(d: int) -> bool:
 
 
 def ledger_quadratic(d: int, bound: float) -> ClosedPointLedger:
-    """Closed points of norm <= bound in the quadratic field of
-    fundamental discriminant d: split p gives two norm-p points, inert p
-    one norm-p^2 point, ramified p one norm-p point."""
-    if abs(d) > 10**4:
-        raise ValueError("discriminant magnitude limited to 10^4")
+    """Closed points of norm <= bound in the quadratic field of fundamental
+    discriminant d, |d| <= DISCRIMINANT_CAP: split p gives two norm-p points,
+    inert p one norm-p^2 point, ramified p one norm-p point."""
+    if abs(d) > DISCRIMINANT_CAP:
+        raise ValueError(over_cap("quadratic ledger", f"|d| = {abs(d)}", DISCRIMINANT_CAP))
     if not is_fundamental_discriminant(d):
         raise ValueError(
             f"{d} is not a fundamental discriminant (need d = 1 mod 4 squarefree,"

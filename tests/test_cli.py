@@ -14,6 +14,7 @@ from oracles import DEFAULT_PROPERTY_SEED, parse_witt_reference, property_seed
 from wittkit import cli, orbits
 from wittkit.cli import main
 from wittkit.ntheory import SIEVE_LIMIT
+from wittkit.parser import parse_witt
 from wittkit.rings import QQ, ZZ
 from wittkit.witt import witt_add, witt_mul, witt_sub
 
@@ -396,7 +397,7 @@ def test_huge_enumeration_refused_up_front(capsys, tmp_path):
         assert time.perf_counter() - start < 1.0
         assert code == 1
         assert err == (f"wittkit: error: enumeration needs 5^{nvars} evaluation steps,"
-                       " above the cap 100000000\n")
+                       " above the cap 100000000; --cap raises it\n")
         assert out == ""
 
 
@@ -495,19 +496,19 @@ def test_expression_budget_refused_fast(capsys):
          "expression needs 12000056 work units, above the cap 10000000 at position 12"),
         (["witt", "parse", "1-" + "-" * 400 + "t^300000"],
          "expression needs 12000048 work units, above the cap 10000000 at position 398"),
-        # the gcd is charged at the end, and the Q retry again
+        # the gcd is charged at the end, and the Q retry's Fraction coefficients
         (["witt", "parse", "(1-t^300000)/(1-t)^500"],
          "expression needs 475895137 work units, above the cap 10000000 at position 22"),
         (["witt", "parse", "(1-t^165111)/(1-t)"],
          "expression needs 10000001 work units, above the cap 10000000 at position 18"),
-        (["witt", "parse", "(2-2t^32734)/(1-t)/(2+t)"],
-         "expression needs 10000110 work units, above the cap 10000000 at position 24"),
+        (["witt", "parse", "(2-2t^37701)/(1-t)/(2+t)"],
+         "expression needs 10000126 work units, above the cap 10000000 at position 24"),
         # more than 4,215 significant digits is above 2^14000, refused before
         # int(); 5,000 digits used to fail on Python's 4,300-digit limit
         (["witt", "parse", "1-" + "9" * 5000 + "t"],
-         "integer of 5000 digits is above the cap 14000 on coefficient bits at position 2"),
+         "integer literal needs over 16606 coefficient bits, above the cap 14000 at position 2"),
         (["witt", "parse", "1-" + "9" * 4299 + "t"],
-         "integer of 4299 digits is above the cap 14000 on coefficient bits at position 2"),
+         "integer literal needs over 14277 coefficient bits, above the cap 14000 at position 2"),
         (["witt", "parse", "1-" + "9" * 4215 + "t"],
          "expression needs 14002 coefficient bits, above the cap 14000 at position 4217"),
     ]
@@ -526,6 +527,23 @@ def test_expression_budget_refused_fast(capsys):
     assert code == 0 and out.endswith("\n1 - 2t\n")
 
 
+def test_q_retry_charges_the_gcd_once(capsys):
+    """A result that is not integral is the Z attempt's reduced pair divided by
+    its constant term, so the budget charges the gcd once. The retry used to
+    charge it again: (2-2t^32734)/(1-t)/(2+t) was refused at 10000110 work
+    units. A text that is not a Witt vector fails over Q the same way, so it
+    is refused without a retry."""
+    expr = "(2-2t^32734)/(1-t)/(2+t)"
+    code, out, err = run_cli(capsys, ["witt", "parse", expr])
+    assert (code, err) == (0, "") and out.endswith(" + t^32733) / (1 + 1/2t)\n")
+    for expr in ("(2-2t^5)/(1-t)/(2+t)", "(6-3t)/(3+t)/2", "(4-2t)^3/(8+t^4)/8"):
+        got = parse_witt(expr)
+        assert got.ring == QQ and got == parse_witt_reference(expr), expr
+    for expr in ("2-t", "(2-t)/(3-t)", "t/(1-t)"):
+        assert run_cli(capsys, ["witt", "parse", expr]) == (
+            1, "", "wittkit: error: not a Witt vector: f(0) != 1\n"), expr
+
+
 def test_nesting_depth_refused_by_name(capsys):
     """A parenthesis nests 2 levels and a unary sign 1, up to EXPR_DEPTH_CAP
     = 400, so that the 400 signs of the budget test still reach the budget.
@@ -533,13 +551,15 @@ def test_nesting_depth_refused_by_name(capsys):
     depth exceeded", which names no cap."""
     cases = [
         ("(" * 400 + "1-t" + ")" * 400,
-         "expression nests 402 deep, above the cap 400 at position 200"),
-        ("1" + "-" * 600 + "t", "expression nests 401 deep, above the cap 400 at position 402"),
+         "expression needs nesting depth 402, above the cap 400 at position 200"),
+        ("1" + "-" * 600 + "t",
+         "expression needs nesting depth 401, above the cap 400 at position 402"),
         ("(" * 201 + "1-t" + ")" * 201,
-         "expression nests 402 deep, above the cap 400 at position 200"),
-        ("1-" + "-" * 401 + "t", "expression nests 401 deep, above the cap 400 at position 402"),
+         "expression needs nesting depth 402, above the cap 400 at position 200"),
+        ("1-" + "-" * 401 + "t",
+         "expression needs nesting depth 401, above the cap 400 at position 402"),
         ("(" * 100 + "1" + "-" * 202 + "t" + ")" * 100,
-         "expression nests 401 deep, above the cap 400 at position 302"),
+         "expression needs nesting depth 401, above the cap 400 at position 302"),
     ]
     for expr, message in cases:
         assert run_cli(capsys, ["witt", "parse", expr]) == (1, "", f"wittkit: error: {message}\n")
@@ -567,18 +587,20 @@ def test_linking_table_above_cap_refused(capsys):
     code, out, err = run_cli(capsys, ["linking", "table", "--bound", "2000000"])
     assert time.perf_counter() - start < 0.5
     assert (code, out) == (1, "")
-    assert err == "wittkit: error: linking table --bound 2000000 is above the cap 2000\n"
+    assert err == "wittkit: error: linking table needs --bound 2000000, above the cap 2000\n"
 
 
 def test_packet_above_limit_refused(capsys):
     code, out, err = run_cli(capsys, ["orbits", "packet", "2", "40"])
     assert code == 1
-    assert err == "wittkit: error: p^n - 1 = 1099511627775 above the 10^9 limit\n"
+    assert err == ("wittkit: error: orbits packet needs 1099511627776 residue field elements,"
+                   " above the cap 1000000000\n")
     start = time.perf_counter()
     code, out, err = run_cli(capsys, ["orbits", "packet", "2", "100000000"])
     assert time.perf_counter() - start < 1.0
     assert code == 1
-    assert err == "wittkit: error: p^n - 1 = 2^100000000 - 1 above the 10^9 limit\n"
+    assert err == ("wittkit: error: orbits packet needs 2^100000000 residue field elements,"
+                   " above the cap 1000000000\n")
     assert out == ""
 
 
@@ -589,7 +611,7 @@ def test_packet_list_limit_above_cap_refused(capsys):
                                       "--list-limit", "1000000000"])
     assert time.perf_counter() - start < 0.5
     assert (code, out) == (1, "")
-    assert err == ("wittkit: error: orbits packet --list-limit 1000000000 is above the cap"
+    assert err == ("wittkit: error: orbits packet needs --list-limit 1000000000, above the cap"
                    f" {orbits.LIST_LIMIT_CAP}\n")
     # at the cap the packet answers, its listing omitted above it
     code, out, err = run_cli(capsys, ["orbits", "packet", "999999937", "1",
@@ -615,7 +637,7 @@ def test_packet_list_limit_checked_in_plain_output(capsys):
     for limit, message in [
         ("-1", "orbits packet --list-limit -1 is below 0"),
         ("1000000000",
-         f"orbits packet --list-limit 1000000000 is above the cap {orbits.LIST_LIMIT_CAP}"),
+         f"orbits packet needs --list-limit 1000000000, above the cap {orbits.LIST_LIMIT_CAP}"),
     ]:
         argv = ["orbits", "packet", "2", "2", "--list-limit", limit, "--format", "plain"]
         assert run_cli(capsys, argv) == (1, "", f"wittkit: error: {message}\n")
@@ -674,7 +696,7 @@ def test_sieve_above_cap_refused_up_front(capsys):
             code, out, err = run_cli(capsys, ["zeta"] + verb + ["--source", source,
                                                                "--bound", "1e12"])
             assert code == 1
-            assert err == ("wittkit: error: prime sieve up to 1000000000000 is above"
+            assert err == ("wittkit: error: prime sieve needs bound 1000000000000, above"
                            f" the cap {SIEVE_LIMIT}\n")
             assert "Traceback" not in err
             assert out == ""
@@ -695,8 +717,8 @@ def test_nan_s_refused(capsys):
     ("inf,1", "bump c and r must be finite numbers, got inf,1.0"),
     ("1500,1", "quadrature over the support [1499.0, 1501.0] is not finite at 32 nodes"),
     ("1e300,1", "quadrature over the support [1e+300, 1e+300] is not finite at 32 nodes"),
-    ("10,1", "quadrature did not converge within 16384 nodes"),
-    ("20,1", "quadrature did not converge within 16384 nodes"),
+    ("10,1", "quadrature needs 32768 nodes, above the cap 16384"),
+    ("20,1", "quadrature needs 32768 nodes, above the cap 16384"),
 ])
 def test_unusable_bump_refused_fast(capsys, bump, message):
     """A non-finite c or r is refused when the bump is built; a finite bump

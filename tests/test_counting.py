@@ -67,7 +67,8 @@ def test_enumeration_cap():
 def test_enumeration_cap_message():
     # near the cap the exact step count is printed
     Y = AffineVariety.make(5, 2, [[(1, (1, 1))]])
-    with pytest.raises(ValueError, match="^enumeration needs 625 evaluation steps, above the cap 10$"):
+    with pytest.raises(ValueError, match="^enumeration needs 625 evaluation steps, above the cap 10;"
+                                         " --cap raises it$"):
         count_points(Y, 2, cap=10)
     X = AffineVariety.make(7, 2, [[(1, (1, 1))]])
     with pytest.raises(ValueError, match="needs 79792266297612001 evaluation steps"):
@@ -75,7 +76,8 @@ def test_enumeration_cap_message():
     # far above it, the count is p^e, refused without being built
     Z = AffineVariety.make(5, 10**7, [])
     start = time.perf_counter()
-    with pytest.raises(ValueError, match=r"^enumeration needs 5\^10000000 evaluation steps, above the cap 100000000$"):
+    with pytest.raises(ValueError, match=r"^enumeration needs 5\^10000000 evaluation steps,"
+                                         r" above the cap 100000000; --cap raises it$"):
         count_points(Z, 1)
     assert time.perf_counter() - start < 1.0
 
@@ -86,11 +88,13 @@ def test_enumeration_cap_binds_separable():
     X = AffineVariety.make(7, 2, [[(1, (2, 0)), (1, (0, 2))]])
     with pytest.raises(
         ValueError,
-        match="^enumeration needs 79792266297612001 evaluation steps, above the cap 100000000$",
+        match="^enumeration needs 79792266297612001 evaluation steps, above the cap 100000000;"
+              " --cap raises it$",
     ):
         count_points(X, 10)
     Y = AffineVariety.make(5, 2, [[(1, (2, 0)), (1, (0, 2)), (4, (0, 0))]])
-    with pytest.raises(ValueError, match="^enumeration needs 625 evaluation steps, above the cap 10$"):
+    with pytest.raises(ValueError, match="^enumeration needs 625 evaluation steps, above the cap 10;"
+                                         " --cap raises it$"):
         count_points(Y, 2, cap=10)
 
 

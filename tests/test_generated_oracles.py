@@ -1107,22 +1107,26 @@ _ARGV_VALUES = {
 
 
 @st.composite
-def _argvs(draw, leaves):
+def _argvs(draw, leaves, values=_ARGV_VALUES):
     """An argv drawn from one leaf's declarations: its command words, a value for
     each positional and for some options (the required ones mostly), the options
     before, between or after the positionals; then, half the time, a change that
-    argparse reads differently or refuses."""
+    argparse reads differently or refuses. `values` holds the (well-formed, bad)
+    tokens of each declared type, as _ARGV_VALUES does, and of each option dest
+    that has its own."""
     words, leaf = draw(st.sampled_from(leaves))
     acts = [a for a in leaf._actions if a.default is not argparse.SUPPRESS]
 
     def value(a):
-        good, bad = (list(a.choices), ["yaml"]) if a.choices else _ARGV_VALUES[a.type]
+        good, bad = values[a.dest] if a.dest in values else values[a.type]
+        if a.choices:
+            good, bad = list(a.choices), ["yaml"]
         return draw(st.sampled_from(good if draw(st.integers(0, 9)) else bad))
 
     argv = [value(a) for a in acts if not a.option_strings for _ in range(a.nargs or 1)]
     argv = argv[:len(argv) + draw(st.sampled_from([0, 0, 0, -1]))]
     if draw(st.integers(0, 5)) == 0:
-        argv.append(draw(st.sampled_from(_ARGV_VALUES[None][0])))  # one positional too many
+        argv.append(draw(st.sampled_from(values[None][0])))  # one positional too many
     options = [a for a in acts if a.option_strings
                if draw(st.integers(0, 9)) > (0 if a.required else 6)]
     for a in draw(st.permutations(options)):
@@ -1143,7 +1147,7 @@ def _argvs(draw, leaves):
         argv[i:i + 2] = [argv[i] + "=" + argv[i + 1]]
     elif change == "abbreviate" and flags:
         i = draw(st.sampled_from(flags))
-        argv[i] = argv[i][:draw(st.integers(3, len(argv[i])))]
+        argv[i] = argv[i][:draw(st.integers(min(3, len(argv[i])), len(argv[i])))]  # "--" too
     elif change == "help":
         argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["-h", "--help"])))
     elif change == "dashdash":

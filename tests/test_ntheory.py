@@ -1,13 +1,15 @@
+import math
+
 import pytest
 
 from wittkit.ntheory import (
     PRIMALITY_BOUND,
-    bounded_power,
     factorize,
     is_prime,
     primes_upto,
     sqrt_mod_prime,
 )
+from wittkit.util import capped_power
 
 
 def test_sqrt_mod_prime_matches_exhaustive_squares():
@@ -30,7 +32,8 @@ def test_is_prime_refuses_above_its_certified_bound():
     assert is_prime(PRIMALITY_BOUND - 168)  # the largest prime below the bound
     assert not is_prime(PRIMALITY_BOUND - 2)  # 17 * 1709 * 1366183751 * 83570142193
     for n in (PRIMALITY_BOUND, 10**30, 2**4000 + 1):
-        with pytest.raises(ValueError, match=f"certified only below {PRIMALITY_BOUND}"):
+        with pytest.raises(ValueError, match=f"^primality test needs n = {n}, above the cap"
+                                             f" {PRIMALITY_BOUND - 1}$"):
             is_prime(n)
 
 
@@ -40,17 +43,30 @@ def test_factorize_keeps_certified_prime_cofactors():
     assert factorize(10**18 + 3) == {10**18 + 3: 1}
     assert factorize(10**18 + 6) == {2: 1, 7: 1, 919: 1, 77724234416291: 1}
     assert factorize(-3 * 10007) == {3: 1, 10007: 1}
-    with pytest.raises(ValueError, match="^factor beyond trial-division limit 1000000: "
-                                         "1000036000099$"):
+    # trial division to isqrt(n) would split a composite n or prove a prime one
+    with pytest.raises(ValueError, match="^factoring 1000036000099 needs trial divisors to"
+                                         " 1000017, above the cap 1000000$"):
         factorize(1000003 * 1000033)
     for n in (PRIMALITY_BOUND, 2**89 - 1):  # a composite and a prime at or above the bound
-        with pytest.raises(ValueError, match=f"limit 1000000 and primality bound "
-                                             f"{PRIMALITY_BOUND}: {n}$"):
+        with pytest.raises(ValueError, match=f"^factoring {n} needs trial divisors to"
+                                             f" {math.isqrt(n)}, above the cap 1000000$"):
             factorize(n)
 
 
-def test_bounded_power():
-    assert bounded_power(7, 20, 10**8) == 7**20
-    assert bounded_power(2, 100, 10**8) == 2**100  # above the limit, but within 2^128 of it
-    assert bounded_power(2, 10**9, 10**8) is None
-    assert bounded_power(3, 10**8, 10**7) is None
+def test_capped_power():
+    """The exact power up to the cap; above it the exact power, and within a
+    factor 2^128 above it the power written p^e."""
+    assert capped_power(7, 9, 10**8, "s", "u") == 7**9
+    assert capped_power(2, 20, 2**20, "s", "u") == 2**20  # at the cap
+    for p, e, cap, need in [
+        (7, 20, 10**8, "79792266297612001"),
+        (2, 100, 10**8, str(2**100)),  # above the cap, but within 2^128 of it
+        (2, 10**9, 10**8, "2^1000000000"),
+        (3, 10**8, 10**7, "3^100000000"),
+    ]:
+        with pytest.raises(ValueError) as refusal:
+            capped_power(p, e, cap, "s", "u")
+        assert str(refusal.value) == f"s needs {need} u, above the cap {cap}"
+    with pytest.raises(ValueError) as refusal:
+        capped_power(3, 10**8, 10, "s", "u", "--c")
+    assert str(refusal.value) == "s needs 3^100000000 u, above the cap 10; --c raises it"

@@ -90,7 +90,7 @@ def test_orbit_rows_are_plain_tuples_the_collector_untracks():
 
 
 def test_packet_size_limit():
-    with pytest.raises(ValueError, match="10\\^9"):
+    with pytest.raises(ValueError, match="above the cap 1000000000"):
         packet_summary(2, 31)
 
 

@@ -75,7 +75,7 @@ def test_linking_table_cap():
     # at the cap the table still answers: 302 odd primes below 2,000
     assert LINKING_BOUND_CAP == 2000
     assert len(linking_table(LINKING_BOUND_CAP)) == 302 * 301
-    with pytest.raises(ValueError, match=r"^linking table --bound 2001 is above the cap 2000$"):
+    with pytest.raises(ValueError, match=r"^linking table needs --bound 2001, above the cap 2000$"):
         linking_table(2001)
 
 

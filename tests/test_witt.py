@@ -100,7 +100,7 @@ def test_witt_mul_matches_kronecker_reference():
 
 def test_witt_mul_cap():
     f = W([1] + [0] * 9 + [1])  # degree 10 numerator
-    with pytest.raises(ValueError, match="tensor degree 100 exceeds the cap 64"):
+    with pytest.raises(ValueError, match="witt mul needs tensor degree 100, above the cap 64"):
         witt_mul(f, f)
 
 
